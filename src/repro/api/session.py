@@ -36,8 +36,8 @@ class Session:
     """Resolves experiment specs into platforms, campaigns and results.
 
     ``engine`` selects the machine cycle engine for specs that do not
-    name one themselves (``ExperimentSpec.engine`` wins when set).  All
-    engines -- event, reference, compiled -- produce bit-identical
+    name one themselves (``ExperimentSpec.engine`` wins when set).  Both
+    engines -- event and reference -- produce bit-identical
     results, so the choice is a performance knob only and never reaches
     spec digests, cache keys or canonical result bytes.
     """

@@ -59,10 +59,10 @@ class ExperimentSpec:
             to ``None`` -- is the paper's single-bit flip.  Stored in
             canonical form so two specs share a digest iff they run the
             same fault.
-        engine: machine cycle engine (``event``/``reference``/
-            ``compiled``); ``None`` defers to the session default.  All
-            engines are bit-identical (the differential suite enforces
-            it), so the engine is a performance knob only: it is
+        engine: machine cycle engine (``event``/``reference``);
+            ``None`` defers to the session default.  The engines are
+            bit-identical (the differential suite enforces it), so the
+            engine is a performance knob only: it is
             excluded from equality, digests and the canonical JSON so
             results and cache entries are engine-independent.
     """

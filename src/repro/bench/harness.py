@@ -1,8 +1,7 @@
 """Cycle-engine benchmark scenarios and the canonical BENCH JSON.
 
 Four scenarios cover the hot paths of the reproduction, each timed under
-all three cycle engines (``event`` -- the default activity-tracked
-engine --, ``compiled`` -- the block-superinstruction core engine --
+both cycle engines (``event`` -- the default activity-tracked engine --
 and ``reference`` -- the everything-every-cycle baseline stepper):
 
 * ``golden``: the error-free reference run with periodic (delta)
@@ -28,15 +27,15 @@ event engine's one-hop idle skips, so all engines are measured against
 the same denominator.  Each scenario runs ``repeats`` times and keeps
 the best (the host's scheduling noise is substantial).
 
-Schema v2 added per-engine golden ``phases`` breakdowns and the
-compiled-engine speedup ratios.  Schema v3 keeps ``seconds`` = best (so
-baseline comparisons stay valid across the bump) and adds a ``spread``
-entry per bench -- min/median/max/stdev over the repeats -- so host
-noise is visible in the document instead of silently discarded;
-:func:`check_against_baseline` flags noisy hosts from it.  The golden
-phase breakdown now comes from the timed repeats themselves via
-``Machine.instrument_phases`` (the obs span/timer API) instead of a
-separate monkey-patched pass.
+Schema v2 added per-engine golden ``phases`` breakdowns.  Schema v3
+keeps ``seconds`` = best (so baseline comparisons stay valid across the
+bump) and adds a ``spread`` entry per bench -- min/median/max/stdev over
+the repeats -- so host noise is visible in the document instead of
+silently discarded; :func:`check_against_baseline` flags noisy hosts
+from it.  Every engine's timed repeats run bare; the golden phase
+breakdown comes from one extra repeat instrumented through
+``Machine.instrument_phases`` (the obs span/timer API), which is not
+part of ``seconds`` or ``spread``.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from repro.mixedmode.platform import CosimConfig, MixedModePlatform, compute_gol
 from repro.obs import Timer
 from repro.obs.registry import spread
 from repro.qrr.campaign import QrrCampaign
-from repro.system.machine import ENGINES, Machine, MachineConfig
+from repro.system.machine import DEFAULT_ENGINE, ENGINES, Machine, MachineConfig
 from repro.workloads import build_workload
 
 #: Bump when the BENCH JSON layout changes incompatibly.
@@ -138,19 +137,11 @@ def _bench_golden(engine: str, settings: BenchSettings, log) -> dict:
         seed=BENCH_SEED,
     )
     stats = {}
-    # the reference engine inlines its uncore stage, so no phase split
-    # is measurable for it -- skip the instrumentation entirely
-    measure_phases = engine != "reference"
 
-    def once():
+    def once(phase_timers=None):
         machine = Machine(BENCH_MACHINE, engine=engine)
         machine.load_workload(image)
-        phase_timers = None
-        if measure_phases:
-            # phases come from the measured run itself: the obs Timer
-            # shims on the machine's chokepoints replace the old
-            # separate monkey-patched pass
-            phase_timers = (Timer("uncore"), Timer("snapshot"))
+        if phase_timers is not None:
             machine.instrument_phases(
                 uncore=phase_timers[0], snapshot=phase_timers[1]
             )
@@ -159,22 +150,26 @@ def _bench_golden(engine: str, settings: BenchSettings, log) -> dict:
         stats["cycles"] = machine.cycles_advanced - before
         if hasattr(golden.snapshots, "storage_stats"):
             stats["snapshots"] = golden.snapshots.storage_stats()
-        return phase_timers
 
-    seconds, samples, phase_timers = _timed(once, settings.repeats)
+    # every engine is timed bare: the timing shims cost time of their
+    # own, and only the event engine would pay it
+    seconds, samples, _ = _timed(once, settings.repeats)
     out = _throughput(stats["cycles"], seconds)
     out["spread"] = spread(samples)
     if "snapshots" in stats:
         out["snapshot_storage"] = stats["snapshots"]
-    if phase_timers is not None:
-        # the best repeat's timers (total = that repeat's wall time)
-        uncore_t, snapshot_t = phase_timers
+    # the reference engine inlines its uncore stage, so no phase split
+    # is measurable for it
+    if engine != "reference":
+        # one extra instrumented repeat (total = its own wall time)
+        uncore_t, snapshot_t = Timer("uncore"), Timer("snapshot")
+        total, _, _ = _timed(lambda: once((uncore_t, snapshot_t)), 1)
         out["phases"] = {
-            "total": round(seconds, 6),
+            "total": round(total, 6),
             "snapshot": round(snapshot_t.seconds, 6),
             "uncore": round(uncore_t.seconds, 6),
             "core_interp": round(
-                max(0.0, seconds - uncore_t.seconds - snapshot_t.seconds), 6
+                max(0.0, total - uncore_t.seconds - snapshot_t.seconds), 6
             ),
         }
     log(f"  golden[{engine}]: {out['cycles_per_sec']:,.0f} cycles/s")
@@ -477,17 +472,12 @@ def run_benches(
         entry: dict = {}
         for engine in settings.engines:
             entry[engine] = fn(engine, settings, log)
-        for name, num, den in (
-            ("speedup_event_vs_reference", "event", "reference"),
-            ("speedup_compiled_vs_reference", "compiled", "reference"),
-            ("speedup_compiled_vs_event", "compiled", "event"),
-        ):
-            if num in entry and den in entry:
-                base = entry[den]["cycles_per_sec"]
-                if base:
-                    entry[name] = round(
-                        entry[num]["cycles_per_sec"] / base, 3
-                    )
+        if "event" in entry and "reference" in entry:
+            base = entry["reference"]["cycles_per_sec"]
+            if base:
+                entry["speedup_event_vs_reference"] = round(
+                    entry["event"]["cycles_per_sec"] / base, 3
+                )
         results[scenario] = entry
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
@@ -507,9 +497,7 @@ def run_benches(
 
 
 def fault_overhead_guard(
-    settings: "BenchSettings | None" = None,
-    log=lambda line: None,
-    engine: str = "event",
+    settings: "BenchSettings | None" = None, log=lambda line: None
 ) -> dict:
     """Measure the fault-subsystem tax on the default injection path.
 
@@ -523,14 +511,13 @@ def fault_overhead_guard(
     relative overhead.  Both paths execute bit-identical simulation
     work, so the ratio isolates the subsystem's dispatch cost; the
     runs interleave (best-of) to cancel host drift.  CI gates this at
-    5% (``repro bench --fault-guard``), for both the event and the
-    compiled engine (``--fault-guard-engine``) so the compiled fast
-    path's de-optimization hooks stay within budget too.
+    5% (``repro bench --fault-guard``) on the default engine.
     """
     from repro.injection.campaign import InjectionCampaign
     from repro.soc.geometry import T2_GEOMETRY
 
     settings = settings if settings is not None else BenchSettings.tiny()
+    engine = DEFAULT_ENGINE
     plat = _campaign_platform(engine)
     component = "l2c"
     nbits = T2_GEOMETRY[component].target_ffs
@@ -702,8 +689,7 @@ def check_against_baseline(
 ) -> list[str]:
     """Regression check: per-engine cycles/sec must not fall more than
     ``tolerance`` below the committed baseline.  Every engine present in
-    the baseline (event, compiled, reference) is gated, so the compiled
-    fast path cannot silently regress either.  Returns failure lines
+    the baseline (event, reference) is gated.  Returns failure lines
     (empty when the check passes).  Host-noise findings (see
     :func:`host_noise_warnings`) are reported through ``warn`` without
     failing the check."""

@@ -537,20 +537,18 @@ def cmd_bench(args) -> int:
         )
         return 0
     if args.fault_guard:
-        guard = fault_overhead_guard(
-            settings, log=print, engine=args.fault_guard_engine
-        )
+        guard = fault_overhead_guard(settings, log=print)
         if guard["overhead"] > args.fault_tolerance:
             print(
                 f"fault-subsystem overhead guard"
-                f"[{args.fault_guard_engine}]: default SingleBitFlip "
+                f"[{guard['engine']}]: default SingleBitFlip "
                 f"path is {guard['overhead']:+.1%} vs the inline path "
                 f"(limit {args.fault_tolerance:.0%})",
                 file=sys.stderr,
             )
             return 1
         print(
-            f"fault-subsystem overhead guard[{args.fault_guard_engine}]: "
+            f"fault-subsystem overhead guard[{guard['engine']}]: "
             f"{guard['overhead']:+.1%} "
             f"(limit {args.fault_tolerance:.0%}): ok"
         )
@@ -918,10 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "against the inline run_injection path and fail "
                         "(exit 1) beyond --fault-tolerance")
     p.add_argument("--fault-tolerance", type=float, default=0.05)
-    p.add_argument("--fault-guard-engine", default="event",
-                   choices=list(ENGINES),
-                   help="cycle engine the fault-overhead guard runs on "
-                        "(CI gates event and compiled)")
     p.add_argument("--obs-guard", action="store_true",
                    help="only run the observability overhead guard: time a "
                         "campaign cell with the obs layer enabled against "

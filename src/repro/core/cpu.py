@@ -22,7 +22,6 @@ import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.blocks import CONTINUATION_CAP
 from repro.core.isa import NUM_REGS, WORD_MASK, Op
 from repro.core.program import Program
 from repro.soc.packets import CpxPacket, CpxType, PcxPacket, PcxType
@@ -77,9 +76,6 @@ class Thread:
         "program",
         "program_len",
         "handlers",
-        "runlen",
-        "units",
-        "dispatch",
         "regs",
         "pc",
         "state",
@@ -89,11 +85,6 @@ class Thread:
         "retired",
         "trap",
         "pending_atomic",
-        "owed",
-        "owed_total",
-        "backup_regs",
-        "backup_pc",
-        "backup_retired",
     )
 
     def __init__(self, core_idx: int, thread_idx: int, program: Program) -> None:
@@ -102,12 +93,6 @@ class Thread:
         self.program = program
         self.program_len = len(program)
         self.handlers = compile_program(program)
-        #: compiled-engine tables (set by Core.add_thread; see
-        #: repro.core.blocks): per-pc fused-suffix length, unit
-        #: closures, and the single-probe dispatch fast table
-        self.runlen: "list | None" = None
-        self.units: "list | None" = None
-        self.dispatch: "list | None" = None
         self.regs = [0] * NUM_REGS
         self.pc = 0
         self.state = ThreadState.READY
@@ -118,15 +103,6 @@ class Thread:
         self.trap: Trap | None = None
         #: set when an atomic waits for store-credit drain before issuing
         self.pending_atomic = False
-        #: compiled engine: issue slots still owed by the eagerly
-        #: executed continuation (0: none in flight), its total slot
-        #: count, and the pre-continuation state used to materialize
-        #: exact mid-debt snapshots (see Core.flush_compiled)
-        self.owed = 0
-        self.owed_total = 0
-        self.backup_regs: "list | None" = None
-        self.backup_pc = 0
-        self.backup_retired = 0
 
     def write_reg(self, rd: int, value: int) -> None:
         if rd != 0:
@@ -155,9 +131,6 @@ class Thread:
         self.retired = state["retired"]
         self.trap = state["trap"]
         self.pending_atomic = state["pending_atomic"]
-        # snapshots are always captured flushed (no continuation debt)
-        self.owed = 0
-        self.backup_regs = None
 
 
 class Core:
@@ -180,22 +153,10 @@ class Core:
         check_addr: "Callable[[int], bool] | None" = None,
         write_output: "Callable[[int, int], None] | None" = None,
         alloc_reqid: "Callable[[], int] | None" = None,
-        compiled: bool = False,
     ) -> None:
         if l1_words & (l1_words - 1):
             raise ValueError("l1_words must be a power of two")
         self.core_idx = core_idx
-        #: compiled engine: dispatch through block superinstructions
-        self._compiled = compiled
-        #: live-fault de-optimization: entry closures fall back to the
-        #: threaded-code path while this is set (see Machine.hold_live_fault)
-        self._compiled_hold = False
-        if compiled:
-            # shadow the class method so per-cycle calls dispatch the
-            # compiled step without an engine branch; the lean variant
-            # is bound while no thread carries continuation debt and
-            # costs exactly what the event-engine step costs
-            self.step = self._step_compiled_lean
         self.threads: list[Thread] = []
         self._rr = 0
         self._l1_size = l1_words
@@ -224,39 +185,6 @@ class Core:
         #: optional machine hook ``(trapped: bool) -> None`` fired when a
         #: thread enters HALTED or TRAPPED (drives O(1) run-loop checks)
         self.on_thread_stop: "Callable[[bool], None] | None" = None
-        #: compiled-engine autopilot: while ``cycle < _auto_until`` the
-        #: core's issue schedule is provably "pay one continuation debt
-        #: slot of ``_auto_rot`` per cycle" (it is the sole issuable
-        #: thread and is deep in debt), so the machine skips the step
-        #: call entirely and accounts one retirement per cycle.  The
-        #: slot debt is settled lazily -- when the window expires, at a
-        #: waking CPX delivery to this core, or at a snapshot boundary.
-        self._auto_until = 0
-        self._auto_base = 0
-        self._auto_rot: "Thread | None" = None
-        #: shared armed-core counter (the machine aliases its own list
-        #: into every core): lets the machine loops skip the per-core
-        #: autopilot checks entirely while no core is armed
-        self._auto_count = [0]
-        #: compiled-engine head-debt cache: the thread at the round-robin
-        #: head when it is paying continuation debt (None otherwise).
-        #: A debt head's slot is a pure O(1) payment, so the machine
-        #: loop applies it inline without a step call.  Maintained at
-        #: every dispatch exit; wakes cannot invalidate it (the head
-        #: thread and its debt are untouched by deliveries), flushes
-        #: and restores clear it.  NOTE: the inline payment block is
-        #: deliberately duplicated in the machine's four hot loops
-        #: (_step_event_compiled, run_fast, run_until_cycle,
-        #: advance_until) -- a shared helper would cost a call per core
-        #: per cycle; any change to the payment invariants must be
-        #: applied to all four copies and the owed paths here.
-        self._head_debt: "Thread | None" = None
-        #: thread-count cache for the hot rotation arithmetic
-        self._nt = 0
-        #: number of threads currently carrying continuation debt;
-        #: while it is zero the core runs the lean step (no debt or
-        #: autopilot checks on the hot path)
-        self._debt = 0
 
     def active(self) -> bool:
         """Whether ``step()`` could possibly issue an instruction now."""
@@ -305,14 +233,7 @@ class Core:
     # ------------------------------------------------------------------
     def add_thread(self, program: Program) -> Thread:
         thread = Thread(self.core_idx, len(self.threads), program)
-        if self._compiled:
-            from repro.core.blocks import compile_blocks
-
-            thread.runlen, thread.units, thread.dispatch = compile_blocks(
-                program
-            )
         self.threads.append(thread)
-        self._nt = len(self.threads)
         self._num_ready += 1
         return thread
 
@@ -461,308 +382,6 @@ class Core:
             return thread.handlers[pc](self, thread, cycle)
         return False
 
-    def _step_compiled_lean(
-        self,
-        cycle: int,
-        _READY=ThreadState.READY,
-        _RETRY=ThreadState.RETRY,
-    ) -> bool:
-        """Compiled-engine issue slot while no thread carries debt.
-
-        Identical to the event engine's :meth:`step` except that it
-        dispatches through the compiled table (plain handlers for
-        impure/short regions, continuation starters for long fused
-        regions).  Starting a continuation creates slot debt and swaps
-        the core to :meth:`_step_compiled_debt` until it drains.
-        """
-        if not (self._num_ready or self._num_atomic_wait):
-            return False
-        threads = self.threads
-        idx = self._rr
-        thread = threads[idx]
-        state = thread.state
-        if state is _READY or state is _RETRY:
-            idx += 1
-            self._rr = 0 if idx == self._nt else idx
-            self.dirty = True
-            pc = thread.pc
-            if not 0 <= pc < thread.program_len:
-                return self._trap(thread, TrapKind.BAD_PC)
-            thread.state = _READY
-            fn = thread.dispatch[pc]
-            if fn is not None:
-                return fn(self, thread, cycle)
-            if self._compiled_hold:
-                return thread.handlers[pc](self, thread, cycle)
-            return self._run_continuation(thread, thread.units, pc, cycle)
-        return self._step_scan_lean(cycle)
-
-    def _step_scan_lean(
-        self,
-        cycle: int,
-        _READY=ThreadState.READY,
-        _RETRY=ThreadState.RETRY,
-        _WAIT=ThreadState.WAIT_MEM,
-    ) -> bool:
-        """Round-robin scan for the lean compiled step (no debt)."""
-        threads = self.threads
-        n = len(threads)
-        idx = self._rr
-        for _scan in range(n):
-            if idx >= n:
-                idx -= n
-            thread = threads[idx]
-            state = thread.state
-            if state is _READY or state is _RETRY:
-                pass
-            elif state is _WAIT and (
-                thread.pending_atomic and thread.stores_inflight == 0
-            ):
-                # store credits drained; issue the atomic now
-                thread.state = _RETRY
-                self._num_ready += 1
-            else:
-                idx += 1
-                continue
-            idx += 1
-            self._rr = 0 if idx == n else idx
-            self.dirty = True
-            pc = thread.pc
-            if not 0 <= pc < thread.program_len:
-                return self._trap(thread, TrapKind.BAD_PC)
-            thread.state = _READY
-            fn = thread.dispatch[pc]
-            if fn is not None:
-                return fn(self, thread, cycle)
-            if self._compiled_hold:
-                return thread.handlers[pc](self, thread, cycle)
-            return self._run_continuation(thread, thread.units, pc, cycle)
-        return False
-
-    def _step_compiled_debt(
-        self,
-        cycle: int,
-        _READY=ThreadState.READY,
-        _RETRY=ThreadState.RETRY,
-    ) -> bool:
-        """Compiled-engine issue slot while continuation debt is live.
-
-        Same scheduling as :meth:`step` (identical round-robin, state
-        transitions and retirement accounting), but a thread inside a
-        fused region pays its remaining issue slots as O(1) debt
-        decrements (see :mod:`repro.core.blocks`).  When the last debt
-        drains the core swaps back to the lean step.
-        """
-        if not (self._num_ready or self._num_atomic_wait):
-            return False
-        if self._auto_until:
-            # autopilot window expired (or this loop does not use it):
-            # settle the slots skipped through the previous cycle
-            self._auto_settle(cycle - 1)
-        if not self._debt:
-            self.step = self._step_compiled_lean
-            return self._step_compiled_lean(cycle)
-        threads = self.threads
-        idx = self._rr
-        thread = threads[idx]
-        owed = thread.owed
-        if owed:
-            # debt implies the head thread is READY: pay one slot
-            idx += 1
-            if idx == self._nt:
-                idx = 0
-            self._rr = idx
-            self.dirty = True
-            owed -= 1
-            thread.owed = owed
-            if not owed:
-                self._debt -= 1
-            nh = threads[idx]
-            self._head_debt = nh if nh.owed else None
-            return True
-        state = thread.state
-        if state is _READY or state is _RETRY:
-            idx += 1
-            if idx == self._nt:
-                idx = 0
-            self._rr = idx
-            self.dirty = True
-            pc = thread.pc
-            if not 0 <= pc < thread.program_len:
-                res = self._trap(thread, TrapKind.BAD_PC)
-            else:
-                thread.state = _READY
-                fn = thread.dispatch[pc]
-                if fn is not None:
-                    res = fn(self, thread, cycle)
-                elif self._compiled_hold:
-                    res = thread.handlers[pc](self, thread, cycle)
-                else:
-                    res = self._run_continuation(
-                        thread, thread.units, pc, cycle
-                    )
-            nh = threads[self._rr]
-            self._head_debt = nh if nh.owed else None
-            return res
-        return self._step_scan_compiled(cycle)
-
-    def _run_continuation(self, thread: Thread, units, pc: int, cycle: int) -> bool:
-        """Eagerly execute fused units from ``pc``; record slot debt."""
-        thread.backup_regs = thread.regs[:]
-        thread.backup_pc = pc
-        thread.backup_retired = thread.retired
-        runlen = thread.runlen
-        plen = thread.program_len
-        slots = 0
-        while True:
-            units[pc](self, thread, cycle)
-            slots += runlen[pc]
-            pc = thread.pc
-            # a wild branch target (negative or past the end) must NOT
-            # index the tables (Python would wrap a negative pc): stop
-            # the chain so the next dispatch slot traps BAD_PC exactly
-            # like the threaded-code engines
-            if not 0 <= pc < plen or slots >= CONTINUATION_CAP:
-                break
-            if not runlen[pc]:
-                break
-        owed = slots - 1
-        thread.owed = owed
-        thread.owed_total = slots
-        # slots >= 2 always (continuations start at runlen >= 2 pcs):
-        # debt is now live -- swap to the debt-aware step and prime the
-        # machine loop's head-debt fast path
-        self._debt += 1
-        self.step = self._step_compiled_debt
-        nh = self.threads[self._rr]
-        self._head_debt = nh if nh.owed else None
-        if owed > 1 and self._num_ready == 1 and not self._num_atomic_wait:
-            # Sole issuable thread: every following slot is provably its
-            # debt, so the machine loop can skip this core wholesale
-            # until the debt runs out (or a CPX delivery re-plans the
-            # schedule).  Multi-thread rotations are deliberately not
-            # armed: with several ready threads the first debt expiry is
-            # only a couple of slots away and the window bookkeeping
-            # costs more than the skipped dispatches save.
-            self._auto_base = cycle
-            self._auto_until = cycle + owed
-            self._auto_rot = thread
-            self._auto_count[0] += 1
-        return True
-
-    def _auto_settle(self, through_cycle: int) -> None:
-        """Pay the autopilot slot debt up to ``through_cycle`` inclusive.
-
-        The machine has already accounted one retirement per skipped
-        cycle; this applies the matching owed decrements to the sole
-        issuable thread and leaves autopilot.  The round-robin pointer
-        needs no adjustment: with a single issuable thread the per-slot
-        scan always leaves ``_rr`` one past that thread.
-        ``through_cycle`` is the last cycle whose issue slot has been
-        consumed (the current cycle when called from the uncore's CPX
-        delivery, the previous one when called at dispatch or a
-        snapshot boundary).
-        """
-        consumed = through_cycle - self._auto_base
-        if consumed > 0:
-            self._auto_rot.owed -= consumed
-        self._auto_until = 0
-        self._auto_rot = None
-        self._auto_count[0] -= 1
-
-    def _step_scan_compiled(
-        self,
-        cycle: int,
-        _READY=ThreadState.READY,
-        _RETRY=ThreadState.RETRY,
-        _WAIT=ThreadState.WAIT_MEM,
-    ) -> bool:
-        """Full round-robin scan for the compiled engine (head thread
-        could not issue).  Mirrors :meth:`_step_scan` exactly."""
-        threads = self.threads
-        n = len(threads)
-        idx = self._rr
-        for _scan in range(n):
-            if idx >= n:
-                idx -= n
-            thread = threads[idx]
-            state = thread.state
-            if state is _READY or state is _RETRY:
-                pass
-            elif state is _WAIT and (
-                thread.pending_atomic and thread.stores_inflight == 0
-            ):
-                # store credits drained; issue the atomic now
-                thread.state = _RETRY
-                self._num_ready += 1
-            else:
-                idx += 1
-                continue
-            idx += 1
-            self._rr = 0 if idx == n else idx
-            self.dirty = True
-            owed = thread.owed
-            if owed:
-                owed -= 1
-                thread.owed = owed
-                if not owed:
-                    self._debt -= 1
-                nh = threads[self._rr]
-                self._head_debt = nh if nh.owed else None
-                return True
-            pc = thread.pc
-            if not 0 <= pc < thread.program_len:
-                res = self._trap(thread, TrapKind.BAD_PC)
-            else:
-                thread.state = _READY
-                fn = thread.dispatch[pc]
-                if fn is not None:
-                    res = fn(self, thread, cycle)
-                elif self._compiled_hold:
-                    res = thread.handlers[pc](self, thread, cycle)
-                else:
-                    res = self._run_continuation(
-                        thread, thread.units, pc, cycle
-                    )
-            nh = threads[self._rr]
-            self._head_debt = nh if nh.owed else None
-            return res
-        return False
-
-    def flush_compiled(self) -> None:
-        """Materialize the exact architected state of in-flight debt.
-
-        A thread that has consumed ``owed_total - owed`` slots of an
-        eagerly executed continuation has, in reference terms, executed
-        exactly that many of its instructions.  Restoring the
-        pre-continuation backup and replaying that count through the
-        plain threaded-code handlers (pure ops: registers, pc and
-        retired only) yields bit-identical per-slot state, after which
-        the thread re-enters compiled dispatch at its true pc.  Called
-        before any snapshot capture and when a live-fault hold engages
-        (the machine settles any autopilot debt first).
-        """
-        if self._auto_until:
-            self._auto_until = 0
-            self._auto_rot = None
-            self._auto_count[0] -= 1
-        self._head_debt = None
-        self._debt = 0
-        if self._compiled:
-            self.step = self._step_compiled_lean
-        for thread in self.threads:
-            owed = thread.owed
-            if owed:
-                consumed = thread.owed_total - owed
-                thread.owed = 0
-                thread.regs = thread.backup_regs
-                thread.pc = thread.backup_pc
-                thread.retired = thread.backup_retired
-                thread.backup_regs = None
-                handlers = thread.handlers
-                for _ in range(consumed):
-                    handlers[thread.pc](self, thread, 0)
-
     def _trap(self, thread: Thread, kind: TrapKind, addr: int = 0) -> bool:
         thread.trap = Trap(kind, self.core_idx, thread.thread_idx, thread.pc, addr)
         thread.state = ThreadState.TRAPPED
@@ -779,8 +398,6 @@ class Core:
     # Snapshot support
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        if self._compiled:
-            self.flush_compiled()
         return {
             "rr": self._rr,
             "l1_tags": list(self._l1_tags),
@@ -798,14 +415,6 @@ class Core:
         self.invalidations = state["invalidations"]
         for thread, tstate in zip(self.threads, state["threads"]):
             thread.restore(tstate)
-        if self._auto_until:
-            self._auto_until = 0
-            self._auto_rot = None
-            self._auto_count[0] -= 1
-        self._head_debt = None
-        self._debt = 0
-        if self._compiled:
-            self.step = self._step_compiled_lean
         self.dirty = True
         self._recount()
 
@@ -836,8 +445,6 @@ class Core:
     def delta_snapshot(self) -> dict:
         """Changes since the last capture: thread state in full (it
         churns every cycle), the L1 arrays as a sparse index delta."""
-        if self._compiled:
-            self.flush_compiled()
         tags = self._l1_tags
         vals = self._l1_vals
         delta = {

@@ -81,35 +81,6 @@ ATOMIC_OPS = frozenset({Op.TAS, Op.FAA})
 #: Branch/jump opcodes whose ``imm`` is a code label (instruction index).
 CONTROL_OPS = frozenset({Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.JMP})
 
-#: Opcodes that touch only thread-private register state: no memory, no
-#: uncore interaction, no output, no trap, no stall, and they always
-#: retire in their issue slot.  These are the fusable bodies of the
-#: block compiler's superinstructions (see :mod:`repro.core.blocks`).
-#: DIV/MOD are excluded (divide-by-zero traps), OUT writes the machine
-#: output channel, ASSERT_EQ traps -- all of those end a block.
-PURE_OPS = frozenset(
-    {
-        Op.NOP,
-        Op.LDI,
-        Op.ADD,
-        Op.SUB,
-        Op.MUL,
-        Op.AND,
-        Op.OR,
-        Op.XOR,
-        Op.SHL,
-        Op.SHR,
-        Op.CMPLT,
-        Op.ADDI,
-        Op.MULI,
-        Op.ANDI,
-        Op.ORI,
-        Op.XORI,
-        Op.SHLI,
-        Op.SHRI,
-    }
-)
-
 
 @dataclass(frozen=True, slots=True)
 class Instr:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.isa import CONTROL_OPS, PURE_OPS, Instr, Op
+from repro.core.isa import CONTROL_OPS, Instr, Op
 
 
 @dataclass(frozen=True)
@@ -24,41 +24,6 @@ class Program:
 
     def __getitem__(self, index: int) -> Instr:
         return self.instrs[index]
-
-
-def block_spans(program: Program) -> list[tuple[int, int, bool]]:
-    """Basic-block boundary metadata for the superinstruction compiler.
-
-    Returns maximal straight-line units as ``(start, end, has_branch)``
-    with ``end`` exclusive: a run of :data:`~repro.core.isa.PURE_OPS`
-    register instructions, optionally terminated by a single
-    branch/jump (:data:`~repro.core.isa.CONTROL_OPS`).  A lone branch
-    is a unit of its own.  Memory operations, atomics, OUT, ASSERT_EQ,
-    DIV/MOD and HALT never join a unit: they can stall, trap, or
-    interact with state outside the issuing thread, so they must
-    execute exactly in their own issue slot (the threaded-code
-    fallback path).
-    """
-    instrs = program.instrs
-    n = len(instrs)
-    spans: list[tuple[int, int, bool]] = []
-    i = 0
-    while i < n:
-        op = instrs[i].op
-        if op in PURE_OPS:
-            j = i
-            while j < n and instrs[j].op in PURE_OPS:
-                j += 1
-            has_branch = j < n and instrs[j].op in CONTROL_OPS
-            end = j + 1 if has_branch else j
-            spans.append((i, end, has_branch))
-            i = end
-        elif op in CONTROL_OPS:
-            spans.append((i, i + 1, True))
-            i += 1
-        else:
-            i += 1
-    return spans
 
 
 class _Label:

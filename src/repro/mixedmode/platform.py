@@ -220,7 +220,7 @@ def compute_golden(
     # Advance checkpoint-to-checkpoint via Machine.advance_until: the
     # O(1) termination checks run between chunks (the early-stop cycle
     # is exact, so successful runs are bit-identical to per-cycle
-    # stepping) and the event/compiled engines keep their idle hops.
+    # stepping) and the event engine keeps its idle hops.
     # The watchdog bound caps each chunk so a hung run still raises at
     # the same cycle the per-cycle loop would have.
     while True:
@@ -511,20 +511,14 @@ class MixedModePlatform:
         """
         machine = self.machine
         end = machine.cycle + steps
-        # while the fault is held, the compiled engine must single-step
-        # (no in-flight superinstructions while fault state is live)
-        machine.hold_live_fault(True)
-        try:
-            while machine.cycle < end:
-                due = live.next_active_cycle()
-                if due is None or due >= end:
-                    machine.run_until_cycle(end)
-                    return
-                if due > machine.cycle:
-                    machine.run_until_cycle(due)
-                live.fire(adapter, machine.cycle)
-        finally:
-            machine.hold_live_fault(False)
+        while machine.cycle < end:
+            due = live.next_active_cycle()
+            if due is None or due >= end:
+                machine.run_until_cycle(end)
+                return
+            if due > machine.cycle:
+                machine.run_until_cycle(due)
+            live.fire(adapter, machine.cycle)
 
     # ------------------------------------------------------------------
     def _attach_quiesced(self, component: str, instance: int) -> CosimAdapterBase:

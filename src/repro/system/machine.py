@@ -8,22 +8,15 @@ component in or out must call :meth:`Machine.uncore_changed`** so the
 event-driven engine reschedules it (the shipped adapters and QRR servers
 do).
 
-Three cycle engines share identical observable behaviour:
+Two cycle engines share identical observable behaviour:
 
 * ``engine="event"`` (default) -- an activity-tracked, event-driven
   stepper.  Each high-level uncore component reports its next-active
   cycle (:meth:`next_active_cycle`); ``step()`` only ticks components
-  that are due and cores that can issue, and the batched run loops skip
+  that are due and cores that can issue, and the batched run loop skips
   whole idle stretches (all uncore quiescent, no core issuable) in one
   hop.  Components without the protocol (RTL co-simulation adapters,
   QRR servers) are conservatively ticked every cycle.
-* ``engine="compiled"`` -- the event engine plus the basic-block
-  superinstruction core path (:mod:`repro.core.blocks`): straight-line
-  instruction runs execute as one fused closure spread over their
-  issue slots, falling back to threaded code at trap/branch/contention
-  boundaries and while a live fault is held
-  (:meth:`Machine.hold_live_fault`).  The fastest engine for long
-  golden/replay phases.
 * ``engine="reference"`` -- the original everything-every-cycle stepper,
   kept as the differential-testing and benchmarking baseline.
 
@@ -58,7 +51,7 @@ from repro.uncore.highlevel.pcie import HighLevelPcieDma
 from repro.workloads.base import WorkloadImage
 
 #: Engines understood by :class:`Machine`.
-ENGINES = ("event", "reference", "compiled")
+ENGINES = ("event", "reference")
 
 #: The engine used when none is requested.
 DEFAULT_ENGINE = "event"
@@ -133,7 +126,6 @@ class Machine:
         self.config = config
         self.engine = engine
         self._reference = engine == "reference"
-        self._compiled = engine == "compiled"
         self.amap = AddressMap(
             l2_banks=config.l2_banks, l2_sets=config.l2_sets, mcus=config.mcus
         )
@@ -168,17 +160,11 @@ class Machine:
                 check_addr=self._check_addr,
                 write_output=self._write_output,
                 alloc_reqid=self._alloc_reqid,
-                compiled=self._compiled,
             )
             for i in range(config.cores)
         ]
-        #: machine-wide armed-autopilot core count, aliased into every
-        #: core so the run loops can skip the per-core autopilot checks
-        #: entirely while nothing is armed
-        self._auto_count = [0]
         for core in self.cores:
             core.on_thread_stop = self._thread_stopped
-            core._auto_count = self._auto_count
         self.l2states: list[L2BankState] = [
             L2BankState(b, self.amap, ways=config.l2_ways)
             for b in range(config.l2_banks)
@@ -226,31 +212,25 @@ class Machine:
         # per-instance dispatch: step() callers skip the engine branch
         if self._reference:
             self.step = self._step_reference
-        elif self._compiled:
-            self.step = self._step_event_compiled
         else:
             self.step = self._step_event
         # -- observability -----------------------------------------------
         # Handles are frozen here: preallocated counter objects mutated
         # via `c.value += 1` behind a single is-None check, so the
         # disabled path costs one attribute load at coarse chokepoints
-        # (uncore wakes, autopilot jumps, snapshots) and nothing per
-        # cycle.  Counters never feed back into simulated state -- the
-        # engines stay bit-identical with obs on or off.
+        # (uncore wakes, snapshots) and nothing per cycle.  Counters
+        # never feed back into simulated state -- the engines stay
+        # bit-identical with obs on or off.
         from repro import obs
 
         if obs.enabled():
             labels = {"engine": engine}
             self._obs_uncore = obs.counter("machine.uncore_wakes", labels)
-            self._obs_auto = obs.counter("machine.autopilot_jumps", labels)
-            self._obs_deopt = obs.counter("machine.deopt_holds", labels)
             self._obs_snap = obs.counter("machine.snapshots", labels)
             self._obs_restore = obs.counter("machine.restores", labels)
             self._obs_cycles = obs.counter("machine.cycles", labels)
         else:
             self._obs_uncore = None
-            self._obs_auto = None
-            self._obs_deopt = None
             self._obs_snap = None
             self._obs_restore = None
             self._obs_cycles = None
@@ -404,37 +384,6 @@ class Machine:
             wake = self._mcus_wake_min
         self._uncore_wake = wake
 
-    def _settle_cores(self) -> None:
-        """Pay outstanding autopilot debt at a cycle boundary (the
-        current cycle's issue stage has not run yet)."""
-        through = self.cycle - 1
-        for core in self.cores:
-            if core._auto_until:
-                core._auto_settle(through)
-
-    def hold_live_fault(self, held: bool) -> None:
-        """Assert/release the live-fault hold on the compiled engine.
-
-        While a live fault (stuck-at, intermittent) is held, the fault
-        model re-asserts corrupted state on its own schedule, so the
-        platform forces the compiled cores to single-step through the
-        threaded-code path: in-flight superinstructions are flushed and
-        block entries de-optimize until the hold is released.  The
-        event and reference engines are unaffected (no-op for them);
-        observable behaviour is identical either way -- this keeps the
-        "one instruction per issue slot" execution literal while fault
-        state is live.
-        """
-        if held and self._compiled:
-            self._settle_cores()
-            c = self._obs_deopt
-            if c is not None:
-                c.value += 1
-        for core in self.cores:
-            core._compiled_hold = held
-            if held and core._compiled:
-                core.flush_compiled()
-
     def advance_until(self, target: int) -> bool:
         """Advance to absolute cycle ``target`` with exact early stop.
 
@@ -442,101 +391,9 @@ class Machine:
         which every thread has halted/trapped (checked per advanced
         cycle, like the run loops).  Returns False on such an early
         stop.  Used by golden-run drivers to step checkpoint-to-
-        checkpoint while keeping the event/compiled engines' idle hops.
+        checkpoint while keeping the event engine's idle hops.
         """
-        if self._reference:
-            while self.cycle < target:
-                if self._live_threads == 0 or self._trapped_threads:
-                    return False
-                self.step()
-            return True
-        cores = self.cores
-        compiled = self._compiled
-        auto_count = self._auto_count
-        while self.cycle < target:
-            if self._live_threads == 0 or self._trapped_threads:
-                return False
-            cycle = self.cycle
-            retired = 0
-            active = False
-            n_auto = 0
-            if compiled:
-                if auto_count[0]:
-                    for core in cores:
-                        if cycle < core._auto_until:
-                            n_auto += 1
-                        elif core._num_ready or core._num_atomic_wait:
-                            active = True
-                            if core.step(cycle):
-                                retired += 1
-                    retired += n_auto
-                else:
-                    for core in cores:
-                        thread = core._head_debt
-                        if thread is not None:
-                            # head thread is paying continuation debt:
-                            # apply the slot inline (no step call)
-                            owed = thread.owed - 1
-                            thread.owed = owed
-                            if not owed:
-                                core._debt -= 1
-                            core.dirty = True
-                            idx = core._rr + 1
-                            if idx == core._nt:
-                                idx = 0
-                            core._rr = idx
-                            nh = core.threads[idx]
-                            core._head_debt = nh if nh.owed else None
-                            active = True
-                            retired += 1
-                        elif core._num_ready or core._num_atomic_wait:
-                            active = True
-                            if core.step(cycle):
-                                retired += 1
-            else:
-                for core in cores:
-                    if core._num_ready or core._num_atomic_wait:
-                        active = True
-                        if core.step(cycle):
-                            retired += 1
-            if retired:
-                self.retired_total += retired
-                self._last_retire_cycle = cycle
-            if self._uncore_wake <= cycle:
-                self._step_uncore(cycle)
-                self.cycle = cycle + 1
-                self.cycles_advanced += 1
-            elif active:
-                self.cycle = cycle + 1
-                self.cycles_advanced += 1
-            elif n_auto:
-                nxt = self._uncore_wake
-                for core in cores:
-                    au = core._auto_until
-                    if au and au < nxt:
-                        nxt = au
-                if nxt > target:
-                    nxt = target
-                if nxt <= cycle:
-                    nxt = cycle + 1
-                jump = nxt - cycle
-                if jump > 1:
-                    self.retired_total += n_auto * (jump - 1)
-                    self._last_retire_cycle = nxt - 1
-                    c = self._obs_auto
-                    if c is not None:
-                        c.value += 1
-                self.cycles_advanced += jump
-                self.cycle = nxt
-            else:
-                nxt = self._uncore_wake
-                if nxt > target:
-                    nxt = target
-                if nxt <= cycle:
-                    nxt = cycle + 1
-                self.cycles_advanced += nxt - cycle
-                self.cycle = nxt
-        return True
+        return self._advance(target, True)
 
     def uncore_changed(self) -> None:
         """Reschedule after an uncore component swap.
@@ -662,45 +519,9 @@ class Machine:
         self.cycle = cycle + 1
         self.cycles_advanced += 1
 
-    def _step_event_compiled(self) -> None:
-        """Event stepper with the compiled cores' fast slot paths: a
-        debt-paying head thread is handled inline (no step call), and a
-        core on autopilot retires this cycle without being touched."""
-        cycle = self.cycle
-        retired = 0
-        if self._auto_count[0]:
-            for core in self.cores:
-                if cycle < core._auto_until:
-                    retired += 1
-                elif core._num_ready or core._num_atomic_wait:
-                    if core.step(cycle):
-                        retired += 1
-        else:
-            for core in self.cores:
-                thread = core._head_debt
-                if thread is not None:
-                    owed = thread.owed - 1
-                    thread.owed = owed
-                    if not owed:
-                        core._debt -= 1
-                    core.dirty = True
-                    idx = core._rr + 1
-                    if idx == core._nt:
-                        idx = 0
-                    core._rr = idx
-                    nh = core.threads[idx]
-                    core._head_debt = nh if nh.owed else None
-                    retired += 1
-                elif core._num_ready or core._num_atomic_wait:
-                    if core.step(cycle):
-                        retired += 1
-        if retired:
-            self.retired_total += retired
-            self._last_retire_cycle = cycle
-        if self._uncore_wake <= cycle:
-            self._step_uncore(cycle)
-        self.cycle = cycle + 1
-        self.cycles_advanced += 1
+    # perf/trace.py is the only reader of this alias (it patches the
+    # name through the class dict)
+    _step_event_compiled = _step_event
 
     def _step_uncore(self, cycle: int) -> None:
         """Tick every due uncore component, preserving the reference
@@ -877,22 +698,7 @@ class Machine:
                         ):
                             self.corrupt_read_cycle = cycle
                     if 0 <= cpx.core < ncores:
-                        core = cores[cpx.core]
-                        if core._auto_until and (
-                            ctype is not CpxType.STORE_ACK
-                            and ctype is not CpxType.INVALIDATE
-                        ):
-                            # a completion may wake a waiting thread and
-                            # change the issue schedule: pay the
-                            # autopilot debt through this cycle (its
-                            # issue stage already ran) before the
-                            # effects land.  STORE_ACK and INVALIDATE
-                            # cannot change the issuable set (credits
-                            # feed lazy atomic conversion, which blocks
-                            # arming; L1 state is invisible to debt
-                            # slots), so the window holds.
-                            core._auto_settle(cycle)
-                        core.deliver_cpx(cpx)
+                        cores[cpx.core].deliver_cpx(cpx)
                 if delivered:
                     ccx.cpx_delivered += delivered
                 # inlined HighLevelCcx.next_active_cycle
@@ -913,13 +719,7 @@ class Machine:
                         ):
                             self.corrupt_read_cycle = cycle
                     if 0 <= cpx.core < ncores:
-                        core = cores[cpx.core]
-                        if core._auto_until and (
-                            ctype is not CpxType.STORE_ACK
-                            and ctype is not CpxType.INVALIDATE
-                        ):
-                            core._auto_settle(cycle)
-                        core.deliver_cpx(cpx)
+                        cores[cpx.core].deliver_cpx(cpx)
                 probe = self._nac_ccx
                 wake = _ALWAYS if probe is None else probe()
                 self._wake_ccx = _NEVER if wake is None else wake
@@ -1042,17 +842,15 @@ class Machine:
         max_cycles: "int | None" = None,
         hang_factor_cycles: "int | None" = None,
     ) -> RunResult:
-        """Event-driven :meth:`run`: O(1) termination checks per cycle
-        and one-hop skips over stretches where no core can issue and the
-        uncore sleeps.  Bit-identical observables to the reference loop
+        """Event-driven :meth:`run`: drives :meth:`_advance` in chunks
+        capped by the cycle cap and the watchdog limit, with the O(1)
+        termination checks between chunks (the early stop inside a chunk
+        is exact).  Bit-identical observables to the reference loop
         (enforced by the differential test suite)."""
         cap = max_cycles if max_cycles is not None else self.config.max_cycles
         if hang_factor_cycles is not None:
             cap = min(cap, hang_factor_cycles)
         watchdog = self.config.watchdog_cycles
-        cores = self.cores
-        compiled = self._compiled
-        auto_count = self._auto_count
         while True:
             if self._trapped_threads:
                 return RunResult(
@@ -1070,105 +868,20 @@ class Machine:
                     output=dict(self.output),
                     retired=self.retired_total,
                 )
-            cycle = self.cycle
-            if cycle >= cap or cycle - self._last_retire_cycle > watchdog:
+            # the first cycle at which the watchdog (or the cap) fires;
+            # retirements inside the chunk only move the real limit later
+            target = self._last_retire_cycle + watchdog + 1
+            if cap < target:
+                target = cap
+            if self.cycle >= target:
                 return RunResult(
                     completed=False,
-                    cycles=cycle,
+                    cycles=self.cycle,
                     output=dict(self.output),
                     hung=True,
                     retired=self.retired_total,
                 )
-            retired = 0
-            active = False
-            n_auto = 0
-            if compiled:
-                if auto_count[0]:
-                    for core in cores:
-                        if cycle < core._auto_until:
-                            n_auto += 1
-                        elif core._num_ready or core._num_atomic_wait:
-                            active = True
-                            if core.step(cycle):
-                                retired += 1
-                    retired += n_auto
-                else:
-                    for core in cores:
-                        thread = core._head_debt
-                        if thread is not None:
-                            # head thread is paying continuation debt:
-                            # apply the slot inline (no step call)
-                            owed = thread.owed - 1
-                            thread.owed = owed
-                            if not owed:
-                                core._debt -= 1
-                            core.dirty = True
-                            idx = core._rr + 1
-                            if idx == core._nt:
-                                idx = 0
-                            core._rr = idx
-                            nh = core.threads[idx]
-                            core._head_debt = nh if nh.owed else None
-                            active = True
-                            retired += 1
-                        elif core._num_ready or core._num_atomic_wait:
-                            active = True
-                            if core.step(cycle):
-                                retired += 1
-            else:
-                for core in cores:
-                    if core._num_ready or core._num_atomic_wait:
-                        active = True
-                        if core.step(cycle):
-                            retired += 1
-            if retired:
-                self.retired_total += retired
-                self._last_retire_cycle = cycle
-            if self._uncore_wake <= cycle:
-                self._step_uncore(cycle)
-                self.cycle = cycle + 1
-                self.cycles_advanced += 1
-            elif active:
-                self.cycle = cycle + 1
-                self.cycles_advanced += 1
-            elif n_auto:
-                # every active core is paying autopilot debt: jump to
-                # the next schedule event (first debt expiry, uncore
-                # wake or the cap), accounting one retirement per core
-                # per skipped cycle -- exactly what per-cycle stepping
-                # would have recorded
-                target = self._uncore_wake
-                for core in cores:
-                    au = core._auto_until
-                    if au and au < target:
-                        target = au
-                if cap < target:
-                    target = cap
-                if target <= cycle:
-                    target = cycle + 1
-                jump = target - cycle
-                if jump > 1:
-                    self.retired_total += n_auto * (jump - 1)
-                    self._last_retire_cycle = target - 1
-                    c = self._obs_auto
-                    if c is not None:
-                        c.value += 1
-                self.cycles_advanced += jump
-                self.cycle = target
-            else:
-                # idle stretch: nothing can change until the uncore's
-                # next event, the watchdog limit or the cap -- the
-                # intervening cycles are provably no-ops
-                target = self._uncore_wake
-                limit = self._last_retire_cycle + watchdog + 1
-                if limit < target:
-                    target = limit
-                if cap < target:
-                    target = cap
-                if target <= cycle:
-                    target = cycle + 1
-                self.cycles_advanced += target - cycle
-                self.cycle = target
+            self._advance(target, True)
 
     def uncore_idle(self) -> bool:
         """Whether all uncore components and ingress queues are empty."""
@@ -1189,65 +902,42 @@ class Machine:
 
     def run_cycles(self, n: int) -> None:
         """Advance exactly ``n`` cycles (no termination checks)."""
-        if self._reference:
-            for _ in range(n):
-                self.step()
-            return
         self.run_until_cycle(self.cycle + n)
 
     def run_until_cycle(self, target: int) -> None:
         """Advance to an absolute cycle count."""
+        self._advance(target, False)
+
+    def _advance(self, target: int, stop: bool) -> bool:
+        """The run loop behind :meth:`run_until_cycle`,
+        :meth:`advance_until` and :meth:`run_fast`.
+
+        Advances to absolute cycle ``target``; with ``stop`` set it
+        returns False at the exact cycle at which every thread has
+        halted or one has trapped.  The event engine issues only on cores
+        with an issuable thread, ticks the uncore only when a component
+        is due, and hops over idle stretches (no core issuable, uncore
+        asleep) straight to the next uncore event, never past ``target``
+        -- the skipped cycles are provably no-ops.
+        """
         if self._reference:
             while self.cycle < target:
+                if stop and (self._live_threads == 0 or self._trapped_threads):
+                    return False
                 self.step()
-            return
+            return True
         cores = self.cores
-        compiled = self._compiled
-        auto_count = self._auto_count
         while self.cycle < target:
+            if stop and (self._live_threads == 0 or self._trapped_threads):
+                return False
             cycle = self.cycle
             retired = 0
             active = False
-            n_auto = 0
-            if compiled:
-                if auto_count[0]:
-                    for core in cores:
-                        if cycle < core._auto_until:
-                            n_auto += 1
-                        elif core._num_ready or core._num_atomic_wait:
-                            active = True
-                            if core.step(cycle):
-                                retired += 1
-                    retired += n_auto
-                else:
-                    for core in cores:
-                        thread = core._head_debt
-                        if thread is not None:
-                            # head thread is paying continuation debt:
-                            # apply the slot inline (no step call)
-                            owed = thread.owed - 1
-                            thread.owed = owed
-                            if not owed:
-                                core._debt -= 1
-                            core.dirty = True
-                            idx = core._rr + 1
-                            if idx == core._nt:
-                                idx = 0
-                            core._rr = idx
-                            nh = core.threads[idx]
-                            core._head_debt = nh if nh.owed else None
-                            active = True
-                            retired += 1
-                        elif core._num_ready or core._num_atomic_wait:
-                            active = True
-                            if core.step(cycle):
-                                retired += 1
-            else:
-                for core in cores:
-                    if core._num_ready or core._num_atomic_wait:
-                        active = True
-                        if core.step(cycle):
-                            retired += 1
+            for core in cores:
+                if core._num_ready or core._num_atomic_wait:
+                    active = True
+                    if core.step(cycle):
+                        retired += 1
             if retired:
                 self.retired_total += retired
                 self._last_retire_cycle = cycle
@@ -1258,25 +948,6 @@ class Machine:
             elif active:
                 self.cycle = cycle + 1
                 self.cycles_advanced += 1
-            elif n_auto:
-                nxt = self._uncore_wake
-                for core in cores:
-                    au = core._auto_until
-                    if au and au < nxt:
-                        nxt = au
-                if nxt > target:
-                    nxt = target
-                if nxt <= cycle:
-                    nxt = cycle + 1
-                jump = nxt - cycle
-                if jump > 1:
-                    self.retired_total += n_auto * (jump - 1)
-                    self._last_retire_cycle = nxt - 1
-                    c = self._obs_auto
-                    if c is not None:
-                        c.value += 1
-                self.cycles_advanced += jump
-                self.cycle = nxt
             else:
                 nxt = self._uncore_wake
                 if nxt > target:
@@ -1285,6 +956,7 @@ class Machine:
                     nxt = cycle + 1
                 self.cycles_advanced += nxt - cycle
                 self.cycle = nxt
+        return True
 
     # ------------------------------------------------------------------
     # Observability (digest-neutral; see repro.obs)
@@ -1315,8 +987,8 @@ class Machine:
         originals unchanged, so instrumented runs stay bit-identical.
         The reference engine drives its uncore inline rather than
         through :meth:`_step_uncore`, so ``uncore`` only measures the
-        event/compiled engines (callers skip phase timing for
-        reference, as the bench always has).
+        event engine (callers skip phase timing for reference, as the
+        bench always has).
         """
         originals = []
         if uncore is not None:
@@ -1353,8 +1025,6 @@ class Machine:
     # Snapshots (the platform's periodic checkpoints, Sec. 2.2 phase 1)
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        if self._compiled:
-            self._settle_cores()
         c = self._obs_snap
         if c is not None:
             c.value += 1
@@ -1447,8 +1117,6 @@ class Machine:
         """
         if not self._delta_tracking:
             raise RuntimeError("delta_capture_begin() was not called")
-        if self._compiled:
-            self._settle_cores()
         c = self._obs_snap
         if c is not None:
             c.value += 1

@@ -18,13 +18,10 @@ mapping from checkpoint cycle to a full machine snapshot); materialized
 snapshots are bit-identical to what ``Machine.snapshot()`` would have
 returned at the same cycle, which the delta-snapshot tests assert.
 
-Compiled-engine interplay: every capture goes through the machine's
-snapshot entry points, which settle any autopilot slot debt and flush
-in-flight superinstruction continuations first -- so stored state is
-always the exact per-slot architected state, and restoring a chain
-entry into any engine (``Machine.restore`` clears compiled-core debt
-and caches) resumes bit-identically.  Chains captured by different
-engines are interchangeable.
+Every capture goes through the machine's snapshot entry points, so
+stored state is always the exact architected state at a cycle boundary,
+and restoring a chain entry into either engine resumes bit-identically.
+Chains captured by different engines are interchangeable.
 """
 
 from __future__ import annotations

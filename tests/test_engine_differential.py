@@ -1,12 +1,11 @@
-"""Differential tests: every cycle engine vs. the reference stepper.
+"""Differential tests: the event engine vs. the reference stepper.
 
-The event and compiled engines' whole contract is *bit-identical
-observables*: for any spec, every RunResult field, every canonical
-result byte and every snapshot must match what the original
-everything-every-cycle stepper produces.  These tests enforce that
-across all three engines, all experiment modes, several
-workloads/seeds, and a live-fault campaign (which pins the compiled
-engine's single-step de-optimization path).
+The event engine's whole contract is *bit-identical observables*: for
+any spec, every RunResult field, every canonical result byte and every
+snapshot must match what the original everything-every-cycle stepper
+produces.  These tests enforce that across all experiment modes,
+several workloads/seeds, a live-fault campaign, and every way
+``Machine.run`` can end (completion, trap, watchdog, cycle caps).
 """
 
 import pytest
@@ -103,8 +102,7 @@ class TestGoldenRuns:
             ), engine
 
     def test_mid_debt_snapshots_identical(self):
-        """Snapshots taken at arbitrary cycle boundaries must flush the
-        compiled engine's in-flight continuations exactly."""
+        """Snapshots taken at arbitrary cycle boundaries must match."""
         machines = _machines("radi", 5, 1 / 120_000)
         for target in (73, 74, 75, 211, 500, 1501):
             for m in machines.values():
@@ -112,6 +110,98 @@ class TestGoldenRuns:
             ref = machines["reference"].snapshot()
             for engine in FAST_ENGINES:
                 assert machines[engine].snapshot() == ref, (engine, target)
+
+
+class TestRunExits:
+    """Every way ``Machine.run`` (and a bare ``run_until_cycle``) can
+    end must leave identical results and machine state."""
+
+    @staticmethod
+    def _check(machines, results):
+        snaps = {e: m.snapshot() for e, m in machines.items()}
+        for engine in FAST_ENGINES:
+            assert _result_tuple(results[engine]) == _result_tuple(
+                results["reference"]
+            ), engine
+            assert snaps[engine] == snaps["reference"], engine
+
+    def test_trap_identical(self):
+        """A wild-pointer load traps one thread while others still run."""
+        from repro.core.program import ProgramBuilder
+        from repro.workloads.base import WorkloadImage
+
+        base = 0x10000
+        wild = ProgramBuilder("wild")
+        wild.ldi(1, base)
+        wild.ldi(2, 0)
+        wild.ldi(3, 40)
+        loop = wild.here
+        wild.st(2, 1, 0)
+        wild.ld(4, 1, 8)
+        wild.addi(2, 2, 1)
+        wild.blt(2, 3, loop)
+        wild.ldi(1, 0x7FFF_0000)  # outside every region
+        wild.ld(4, 1, 0)
+        wild.halt()
+        busy = ProgramBuilder("busy")
+        busy.ldi(1, base + 0x100)
+        busy.ldi(2, 0)
+        busy.ldi(3, 400)
+        loop = busy.here
+        busy.st(2, 1, 0)
+        busy.addi(2, 2, 1)
+        busy.blt(2, 3, loop)
+        busy.halt()
+        image = WorkloadImage(
+            name="wild",
+            programs=[wild.build(), busy.build(), busy.build()],
+            regions=[(base, 0x1000, "globals")],
+        )
+        machines = {}
+        results = {}
+        for engine in ENGINES:
+            machine = Machine(CFG, engine=engine)
+            machine.load_workload(image)
+            machines[engine] = machine
+            results[engine] = machine.run()
+        assert results["reference"].trap is not None
+        assert not results["reference"].completed
+        self._check(machines, results)
+
+    @pytest.mark.parametrize("cap", [1, 313, 1500])
+    def test_max_cycles_cap_identical(self, cap):
+        machines = _machines("fft", 2015, 1 / 120_000)
+        results = {e: m.run(max_cycles=cap) for e, m in machines.items()}
+        assert results["reference"].hung
+        assert results["reference"].cycles == cap
+        self._check(machines, results)
+
+    @pytest.mark.parametrize("cap", [2, 777])
+    def test_hang_factor_cap_identical(self, cap):
+        machines = _machines("radi", 42, 1 / 120_000)
+        results = {
+            e: m.run(hang_factor_cycles=cap) for e, m in machines.items()
+        }
+        assert results["reference"].hung
+        assert results["reference"].cycles == cap
+        self._check(machines, results)
+
+    def test_run_until_cycle_after_halt_identical(self):
+        """No early stop: the uncore drains and the cycle count reaches
+        the target exactly, then ``run`` completes without stepping."""
+        probe = _machines("fft", 3, 1 / 120_000, engines=("reference",))
+        length = probe["reference"].run().cycles
+        machines = _machines("fft", 3, 1 / 120_000)
+        target = length + 250
+        for m in machines.values():
+            m.run_until_cycle(target)
+            assert m.cycle == target
+            assert m.live_threads() == 0
+            assert m.uncore_idle()
+        results = {e: m.run() for e, m in machines.items()}
+        assert results["reference"].completed
+        assert results["reference"].cycles == target
+        self._check(machines, results)
 
 
 class TestCampaignModes:
@@ -149,9 +239,9 @@ class TestCampaignModes:
 
     @pytest.mark.parametrize("fault", ["stuck:value=1,hold=400", "flicker:period=40"])
     def test_live_fault_campaign_identical(self, fault):
-        """Live faults (held across co-simulation) force the compiled
-        engine to de-optimize to single-stepping; the outcome bytes
-        must stay identical across all engines."""
+        """Live faults (held across co-simulation) re-assert corrupted
+        state on their own schedule; the outcome bytes must stay
+        identical across engines."""
         spec = ExperimentSpec(
             benchmark="fft",
             component="l2c",
@@ -183,17 +273,17 @@ class TestCampaignModes:
 
     def test_session_honors_spec_engine(self):
         spec = ExperimentSpec(
-            machine=CFG, scale=1 / 120_000, n=1, engine="compiled"
+            machine=CFG, scale=1 / 120_000, n=1, engine="reference"
         )
         session = Session()
         platform = session.platform(spec)
-        assert platform.machine.engine == "compiled"
+        assert platform.machine.engine == "reference"
 
 
 class TestGoldenSnapshotChains:
     def test_every_checkpoint_identical(self):
         """Delta-chain snapshots must match at every checkpoint cycle
-        across all three engines (reference captures all-dirty)."""
+        across engines (reference captures all-dirty)."""
         plats = {
             engine: MixedModePlatform(
                 "fft",
