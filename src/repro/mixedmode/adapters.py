@@ -94,24 +94,43 @@ class CosimAdapterBase:
     def quiescent(self) -> bool:
         return self.target.in_flight() == 0
 
+    def next_active_cycle(self) -> "int | None":
+        """The event engine's wake protocol: ``None`` (asleep until an
+        input arrives) while target and golden are both idle, else 0
+        (due now)."""
+        if self.target.idle() and self.golden.idle():
+            return None
+        return 0
+
+    # Every injection entry point below mutates the target outside the
+    # step loop, so it reschedules: a sleeping adapter wakes on the very
+    # next step.
+
     def flip(self, bit_index: int) -> tuple[str, int, int]:
         """Inject the bit flip into the target (Fig. 1b, item 4)."""
-        return self.target.flip_target_bit(bit_index)
+        loc = self.target.flip_target_bit(bit_index)
+        self.machine.uncore_changed()
+        return loc
 
     # -- location-addressed injection (the fault-model subsystem) --------
     def flip_at(self, name: str, entry: int, bit: int) -> tuple[str, int, int]:
         """Flip an explicit flip-flop location in the target."""
         self.target.flip_bit(name, entry, bit)
+        self.machine.uncore_changed()
         return (name, entry, bit)
 
     def flip_sram(self, name: str, entry: int, bit: int) -> tuple[str, int, int]:
         """Flip a bit inside one of the target's SRAM rows."""
         self.target.flip_sram_bit(name, entry, bit)
+        self.machine.uncore_changed()
         return ("sram:" + name, entry, bit)
 
     def force_at(self, name: str, entry: int, bit: int, value: int) -> bool:
         """Force a target flip-flop to ``value`` (stuck-at assertion)."""
-        return self.target.force_bit(name, entry, bit, value)
+        changed = self.target.force_bit(name, entry, bit, value)
+        if changed:
+            self.machine.uncore_changed()
+        return changed
 
     def release(self) -> None:
         """Unswap the adapter WITHOUT state transfer (abandoned runs)."""
@@ -249,6 +268,11 @@ class McuCosimAdapter(CosimAdapterBase):
     The MCU is self-contained (requests in, replies/DRAM traffic out),
     so the golden copy simply runs on a fork of main memory.
     """
+
+    #: no wake protocol: the refresh counter and strobe tracking advance
+    #: every cycle, so the MCU never sleeps and is ticked every cycle
+    #: (:meth:`McuRtl.tick` skips its datapath stages when they are idle)
+    next_active_cycle = None
 
     def __init__(self, machine, mcu_idx: int) -> None:
         super().__init__()

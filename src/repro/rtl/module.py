@@ -110,16 +110,28 @@ class RtlModule:
     def flip_target_bit(self, index: int) -> tuple[str, int, int]:
         """Inject a bit flip into target flip-flop ``index``.
 
-        Returns the ``(register, entry, bit)`` location flipped.
+        Returns the ``(register, entry, bit)`` location flipped, the one
+        ``target_bits()[index]`` names.  The location is found by walking
+        the target registers' sizes, so an injection never materializes
+        the (tens of thousands of entries) index list.
         """
-        bits = self.target_bits()
-        name, entry, bit = bits[index]
-        reg = self._registers[name]
-        if isinstance(reg, RegisterArray):
-            reg.flip(bit, entry)
-        else:
-            reg.flip(bit)
-        return (name, entry, bit)
+        offset = index
+        if offset < 0:
+            offset += self.target_flip_flop_count()
+        if offset >= 0:
+            for name, reg in self._registers.items():
+                if reg.ff_class is not FlipFlopClass.TARGET:
+                    continue
+                size = reg.flip_flops
+                if offset < size:
+                    entry, bit = divmod(offset, reg.width)
+                    if isinstance(reg, RegisterArray):
+                        reg.flip(bit, entry)
+                    else:
+                        reg.flip(bit)
+                    return (name, entry, bit)
+                offset -= size
+        raise IndexError(f"{self.name}: target flip-flop {index} out of range")
 
     def flip_bit(self, name: str, entry: int, bit: int) -> None:
         """Inject a bit flip by explicit location (any flip-flop class)."""
@@ -221,6 +233,15 @@ class RtlModule:
 
     def in_flight(self) -> int:
         """Number of operations currently being processed (0 = quiescent)."""
+        raise NotImplementedError
+
+    def idle(self) -> bool:
+        """Whether :meth:`tick` is a no-op: no output, no state change.
+
+        Covers every register ``tick`` reads or writes, so an idle module
+        can sleep until an input arrives or a fault is injected (the
+        co-simulation adapters rely on this to leave the event engine's
+        active set)."""
         raise NotImplementedError
 
     def describe_inventory(self) -> list[tuple[str, int, str]]:

@@ -15,8 +15,10 @@ Two cycle engines share identical observable behaviour:
   cycle (:meth:`next_active_cycle`); ``step()`` only ticks components
   that are due and cores that can issue, and the batched run loop skips
   whole idle stretches (all uncore quiescent, no core issuable) in one
-  hop.  Components without the protocol (RTL co-simulation adapters,
-  QRR servers) are conservatively ticked every cycle.
+  hop.  The L2C, CCX and PCIe co-simulation adapters keep the protocol
+  too: they sleep while both RTL copies are idle.  Components without
+  it (the MCU adapter, whose refresh engine advances every cycle; QRR
+  servers) are ticked every cycle.
 * ``engine="reference"`` -- the original everything-every-cycle stepper,
   kept as the differential-testing and benchmarking baseline.
 
@@ -328,8 +330,11 @@ class Machine:
     @staticmethod
     def _probe_of(comp):
         """The component's ``next_active_cycle`` method, or None for
-        models without the protocol (RTL co-simulation adapters, QRR
-        servers): those are conservatively ticked every cycle."""
+        models without the protocol (the MCU co-simulation adapter, QRR
+        servers): those are ticked every cycle.  The L2C, CCX and PCIe
+        adapters answer it (asleep while both RTL copies are idle, else
+        due now) and call :meth:`uncore_changed` whenever an injection
+        mutates them outside the step loop."""
         return getattr(comp, "next_active_cycle", None)
 
     @staticmethod

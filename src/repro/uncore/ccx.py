@@ -35,6 +35,33 @@ PROTECTED_FFS = 0
 INACTIVE_FFS = 340
 
 _FIELDS = dict(valid=1, ptype=3, core=3, thread=3, addr=40, data=64, reqid=16)
+#: the packet payload fields, in ``pack_fields`` order
+_PAYLOAD = ("ptype", "core", "thread", "addr", "data", "reqid")
+
+#: arbitration memo sentinels: head not read yet this tick / head lost
+_UNREAD = object()
+_LOST = object()
+
+
+class _Channel:
+    """One direction's register handles, bound once at construction so
+    the arbitration hot path builds no names and does no dict lookups.
+
+    Holds the :class:`RegisterArray` objects, never their ``values``
+    lists: ``restore``/``reset`` replace those lists."""
+
+    __slots__ = ("fifo_valid", "fifo", "head", "tail", "count", "out_valid",
+                 "out", "rr")
+
+    def __init__(self, regs, direction: str) -> None:
+        self.fifo_valid = regs[f"{direction}_fifo_valid"]
+        self.fifo = tuple(regs[f"{direction}_fifo_{f}"] for f in _PAYLOAD)
+        self.head = regs[f"{direction}_head"]
+        self.tail = regs[f"{direction}_tail"]
+        self.count = regs[f"{direction}_count"]
+        self.out_valid = regs[f"{direction}_out_valid"]
+        self.out = tuple(regs[f"{direction}_out_{f}"] for f in _PAYLOAD)
+        self.rr = regs[f"{direction}_rr"]
 
 
 class CcxRtl(RtlModule):
@@ -71,6 +98,8 @@ class CcxRtl(RtlModule):
         assert counts[FlipFlopClass.INACTIVE] == INACTIVE_FFS
         assert self.flip_flop_count() == TOTAL_FFS
 
+        self._pcx_ch = _Channel(self._registers, "pcx")
+        self._cpx_ch = _Channel(self._registers, "cpx")
         self.protocol_errors = 0
         self.write_disable = False
         #: packets that overflowed an input FIFO (dropped)
@@ -79,145 +108,167 @@ class CcxRtl(RtlModule):
     # ------------------------------------------------------------------
     # FIFO helpers
     # ------------------------------------------------------------------
-    def _push(self, direction: str, port: int, fields: tuple) -> bool:
-        regs = self._registers
-        count = regs[f"{direction}_count"].read(port)
+    def _push(self, ch: _Channel, port: int, fields: tuple) -> bool:
+        counts = ch.count.values
+        count = counts[port]
         if count >= FIFO_DEPTH:
             self.dropped += 1
             return False
-        tail = regs[f"{direction}_tail"].read(port) % FIFO_DEPTH
+        tail = ch.tail.values[port] % FIFO_DEPTH
         slot = port * FIFO_DEPTH + tail
-        ptype, core, thread, addr, data, reqid = fields
-        regs[f"{direction}_fifo_valid"].write(slot, 1)
-        regs[f"{direction}_fifo_ptype"].write(slot, ptype)
-        regs[f"{direction}_fifo_core"].write(slot, core)
-        regs[f"{direction}_fifo_thread"].write(slot, thread)
-        regs[f"{direction}_fifo_addr"].write(slot, addr)
-        regs[f"{direction}_fifo_data"].write(slot, data)
-        regs[f"{direction}_fifo_reqid"].write(slot, reqid)
-        regs[f"{direction}_tail"].write(port, (tail + 1) % FIFO_DEPTH)
-        regs[f"{direction}_count"].write(port, count + 1)
+        ch.fifo_valid.values[slot] = 1
+        # pack_fields() masks each field to its register's width
+        for reg, value in zip(ch.fifo, fields):
+            reg.values[slot] = value
+        ch.tail.values[port] = (tail + 1) % FIFO_DEPTH
+        counts[port] = count + 1
         return True
 
-    def _head_fields(self, direction: str, port: int) -> "tuple | None":
-        regs = self._registers
-        if regs[f"{direction}_count"].read(port) == 0:
+    def _head_fields(self, ch: _Channel, port: int):
+        """The head packet's payload fields of ``port``'s FIFO, None when
+        it is empty, or ``_LOST`` when the head's valid bit was flipped
+        away -- that slot is consumed and counted as a protocol error."""
+        if ch.count.values[port] == 0:
             return None
-        head = regs[f"{direction}_head"].read(port) % FIFO_DEPTH
-        slot = port * FIFO_DEPTH + head
-        if not regs[f"{direction}_fifo_valid"].read(slot):
-            # request lost to a valid-bit flip; consume the slot
-            self._pop(direction, port)
+        slot = port * FIFO_DEPTH + ch.head.values[port] % FIFO_DEPTH
+        if not ch.fifo_valid.values[slot]:
+            self._pop(ch, port)
             self.protocol_errors += 1
-            return None
+            return _LOST
+        ptype, core, thread, addr, data, reqid = ch.fifo
         return (
-            regs[f"{direction}_fifo_ptype"].read(slot),
-            regs[f"{direction}_fifo_core"].read(slot),
-            regs[f"{direction}_fifo_thread"].read(slot),
-            regs[f"{direction}_fifo_addr"].read(slot),
-            regs[f"{direction}_fifo_data"].read(slot),
-            regs[f"{direction}_fifo_reqid"].read(slot),
+            ptype.values[slot],
+            core.values[slot],
+            thread.values[slot],
+            addr.values[slot],
+            data.values[slot],
+            reqid.values[slot],
         )
 
-    def _pop(self, direction: str, port: int) -> None:
-        regs = self._registers
-        head = regs[f"{direction}_head"].read(port) % FIFO_DEPTH
-        regs[f"{direction}_fifo_valid"].write(port * FIFO_DEPTH + head, 0)
-        regs[f"{direction}_head"].write(port, (head + 1) % FIFO_DEPTH)
-        regs[f"{direction}_count"].write(
-            port, max(0, regs[f"{direction}_count"].read(port) - 1)
-        )
+    def _pop(self, ch: _Channel, port: int) -> None:
+        head = ch.head.values[port] % FIFO_DEPTH
+        ch.fifo_valid.values[port * FIFO_DEPTH + head] = 0
+        ch.head.values[port] = (head + 1) % FIFO_DEPTH
+        counts = ch.count.values
+        counts[port] = max(0, counts[port] - 1)
 
     # ------------------------------------------------------------------
     # Machine-facing interface (same shape as HighLevelCcx)
     # ------------------------------------------------------------------
     def send_pcx(self, bank: int, pkt: PcxPacket, cycle: int) -> None:
         """Core-side ingress; the source port is the issuing core."""
-        self._push("pcx", pkt.core & 7, pkt.pack_fields())
+        self._push(self._pcx_ch, pkt.core & 7, pkt.pack_fields())
 
     def send_cpx(self, pkt: CpxPacket, cycle: int, src: int = 0) -> None:
         """Bank-side ingress; the source port is the sending L2 bank."""
-        self._push("cpx", src & 7, pkt.pack_fields())
+        self._push(self._cpx_ch, src & 7, pkt.pack_fields())
 
     def tick(self, cycle: int) -> None:
         """Arbitrate: move one FIFO head per free destination port."""
         if self.write_disable:
             return
-        regs = self._registers
-        for direction, dest_of in (
-            ("pcx", lambda f: self.amap.bank_of(f[3]) & 7),
-            ("cpx", lambda f: f[1] & 7),
-        ):
-            out_valid = regs[f"{direction}_out_valid"]
-            rr = regs[f"{direction}_rr"]
-            for dest in range(PORTS):
-                if out_valid.read(dest):
-                    continue  # stage still occupied (not yet delivered)
-                start = rr.read(dest)
-                for offset in range(PORTS):
-                    src = (start + offset) % PORTS
-                    fields = self._head_fields(direction, src)
-                    if fields is None or dest_of(fields) != dest:
+        self._arbitrate(self._pcx_ch, True)
+        self._arbitrate(self._cpx_ch, False)
+
+    def _arbitrate(self, ch: _Channel, route_by_addr: bool) -> None:
+        """One direction's round-robin arbiters, destination by
+        destination.  PCX routes by the latched address (its bank), CPX
+        by the latched core field.
+
+        A source's head is read once per tick and reused by later
+        destinations until that source pops.  A lost head is never
+        reused: every look at it consumes one slot and counts one
+        protocol error, exactly as a re-read would.
+        """
+        if not any(ch.count.values):
+            return  # every FIFO is empty
+        out_valid = ch.out_valid.values
+        rr = ch.rr.values
+        bank_of = self.amap.bank_of
+        heads = [_UNREAD] * PORTS
+        for dest in range(PORTS):
+            if out_valid[dest]:
+                continue  # stage still occupied (not yet delivered)
+            start = rr[dest]
+            for offset in range(PORTS):
+                src = (start + offset) % PORTS
+                head = heads[src]
+                if head is _UNREAD:
+                    fields = self._head_fields(ch, src)
+                    if fields is _LOST:
                         continue
-                    ptype, core, thread, addr, data, reqid = fields
-                    out_valid.write(dest, 1)
-                    regs[f"{direction}_out_ptype"].write(dest, ptype)
-                    regs[f"{direction}_out_core"].write(dest, core)
-                    regs[f"{direction}_out_thread"].write(dest, thread)
-                    regs[f"{direction}_out_addr"].write(dest, addr)
-                    regs[f"{direction}_out_data"].write(dest, data)
-                    regs[f"{direction}_out_reqid"].write(dest, reqid)
-                    self._pop(direction, src)
-                    rr.write(dest, (src + 1) % PORTS)
-                    break
+                    if fields is not None:
+                        route = bank_of(fields[3]) if route_by_addr else fields[1]
+                        head = (fields, route & 7)
+                    else:
+                        head = None
+                    heads[src] = head
+                if head is None or head[1] != dest:
+                    continue
+                out_valid[dest] = 1
+                for reg, value in zip(ch.out, head[0]):
+                    reg.values[dest] = value
+                self._pop(ch, src)
+                heads[src] = _UNREAD
+                rr[dest] = (src + 1) % PORTS
+                break
 
     def deliver_pcx(self, cycle: int) -> list[tuple[int, PcxPacket]]:
         """Drain the bank-side output stages: (bank, packet)."""
-        regs = self._registers
+        out_valid = self._pcx_ch.out_valid.values
         out = []
+        if not any(out_valid):
+            return out
+        ptype, core, thread, addr, data, reqid = self._pcx_ch.out
         for dest in range(PORTS):
-            if regs["pcx_out_valid"].read(dest):
+            if out_valid[dest]:
                 pkt = PcxPacket.unpack_fields(
-                    regs["pcx_out_ptype"].read(dest),
-                    regs["pcx_out_core"].read(dest),
-                    regs["pcx_out_thread"].read(dest),
-                    regs["pcx_out_addr"].read(dest),
-                    regs["pcx_out_data"].read(dest),
-                    regs["pcx_out_reqid"].read(dest),
+                    ptype.values[dest],
+                    core.values[dest],
+                    thread.values[dest],
+                    addr.values[dest],
+                    data.values[dest],
+                    reqid.values[dest],
                 )
                 out.append((dest, pkt))
-                regs["pcx_out_valid"].write(dest, 0)
+                out_valid[dest] = 0
                 self.perf_pcx.write(self.perf_pcx.value + 1)
         return out
 
     def deliver_cpx(self, cycle: int) -> list[CpxPacket]:
         """Drain the core-side output stages."""
-        regs = self._registers
+        out_valid = self._cpx_ch.out_valid.values
         out = []
+        if not any(out_valid):
+            return out
+        ptype, core, thread, addr, data, reqid = self._cpx_ch.out
         for dest in range(PORTS):
-            if regs["cpx_out_valid"].read(dest):
+            if out_valid[dest]:
                 out.append(
                     CpxPacket.unpack_fields(
-                        regs["cpx_out_ptype"].read(dest),
-                        regs["cpx_out_core"].read(dest),
-                        regs["cpx_out_thread"].read(dest),
-                        regs["cpx_out_addr"].read(dest),
-                        regs["cpx_out_data"].read(dest),
-                        regs["cpx_out_reqid"].read(dest),
+                        ptype.values[dest],
+                        core.values[dest],
+                        thread.values[dest],
+                        addr.values[dest],
+                        data.values[dest],
+                        reqid.values[dest],
                     )
                 )
-                regs["cpx_out_valid"].write(dest, 0)
+                out_valid[dest] = 0
                 self.perf_cpx.write(self.perf_cpx.value + 1)
         return out
 
     def in_flight(self) -> int:
-        regs = self._registers
         count = 0
-        for direction in ("pcx", "cpx"):
-            for port in range(PORTS):
-                count += regs[f"{direction}_count"].read(port)
-                count += regs[f"{direction}_out_valid"].read(port)
+        for ch in (self._pcx_ch, self._cpx_ch):
+            count += sum(ch.count.values) + sum(ch.out_valid.values)
         return count
+
+    def idle(self) -> bool:
+        for ch in (self._pcx_ch, self._cpx_ch):
+            if any(ch.count.values) or any(ch.out_valid.values):
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Mismatch benignity

@@ -88,18 +88,24 @@ class L2cRtl(RtlModule):
         self.dir_sram = self.sram_array("dir_array", nlines, 8)
         self.victim_sram = self.sram_array("victim_ptr", self.sets, 3)
 
+        #: per queue prefix, its (valid, ptype, core, thread, addr, data,
+        #: reqid) register arrays -- bound once, so the co-simulation hot
+        #: path builds no names and does no dict lookups
+        self._queues: dict[str, tuple] = {}
+
         # ---- input queue ----------------------------------------------
-        self._queue_fields("iq", IQ_ENTRIES)
+        self._iq = self._queue_fields("iq", IQ_ENTRIES)
         self.iq_head = self.reg("iq_head", 4)
         self.iq_tail = self.reg("iq_tail", 4)
         self.iq_count = self.reg("iq_count", 5)
 
         # ---- request pipeline P1..P4 ------------------------------------
-        for stage in range(1, 5):
-            self._queue_fields(f"p{stage}", 1)
+        self._pipe = tuple(
+            self._queue_fields(f"p{stage}", 1) for stage in range(1, 5)
+        )
 
         # ---- miss buffer -------------------------------------------------
-        self._queue_fields("mb", MB_ENTRIES)
+        self._mb = self._queue_fields("mb", MB_ENTRIES)
         self.mb_state = self.reg_array("mb_state", MB_ENTRIES, 2)
 
         # ---- fill queue / writeback buffer --------------------------------
@@ -121,7 +127,7 @@ class L2cRtl(RtlModule):
         )
 
         # ---- output queue / invalidation queue ------------------------------
-        self._queue_fields("oq", OQ_ENTRIES)
+        self._oq = self._queue_fields("oq", OQ_ENTRIES)
         self.oq_head = self.reg("oq_head", 4)
         self.oq_tail = self.reg("oq_tail", 4)
         self.oq_count = self.reg("oq_count", 5)
@@ -201,6 +207,11 @@ class L2cRtl(RtlModule):
         if tail:
             self.reg("csr_shadow_tail", tail, functional=False)
 
+        #: every valid array a tick consumes (see :meth:`idle`)
+        self._live_valids = tuple(stage[0] for stage in self._pipe) + (
+            self._mb[0], self.fq_valid, self.wbb_valid, self.invq_valid
+        )
+
         counts = self.flip_flop_count_by_class()
         assert counts[FlipFlopClass.TARGET] == TARGET_FFS
         assert counts[FlipFlopClass.PROTECTED] == PROTECTED_FFS
@@ -223,29 +234,16 @@ class L2cRtl(RtlModule):
     # ------------------------------------------------------------------
     # Register-bank plumbing
     # ------------------------------------------------------------------
-    def _queue_fields(self, prefix: str, entries: int) -> None:
-        for field, width in _PKT_BITS.items():
+    def _queue_fields(self, prefix: str, entries: int) -> tuple:
+        regs = self._queues[prefix] = tuple(
             self.reg_array(f"{prefix}_{field}", entries, width)
-
-    def _prefix_regs(self, prefix: str) -> tuple:
-        """Cached (valid, ptype, core, thread, addr, data, reqid)
-        register arrays for a queue prefix -- avoids per-access f-string
-        construction and dict lookups on the co-simulation hot path."""
-        cache = self.__dict__.get("_prefix_reg_cache")
-        if cache is None:
-            cache = self._prefix_reg_cache = {}
-        regs = cache.get(prefix)
-        if regs is None:
-            table = self._registers
-            regs = cache[prefix] = tuple(
-                table[f"{prefix}_{field}"]
-                for field in ("valid", "ptype", "core", "thread", "addr",
-                              "data", "reqid")
-            )
+            for field, width in _PKT_BITS.items()
+        )
         return regs
 
-    def _entry_read(self, prefix: str, idx: int) -> PcxPacket:
-        _v, ptype, core, thread, addr, data, reqid = self._prefix_regs(prefix)
+    @staticmethod
+    def _entry_read(regs: tuple, idx: int) -> PcxPacket:
+        _v, ptype, core, thread, addr, data, reqid = regs
         return PcxPacket.unpack_fields(
             ptype.values[idx],
             core.values[idx],
@@ -255,22 +253,22 @@ class L2cRtl(RtlModule):
             reqid.values[idx],
         )
 
-    def _entry_write(self, prefix: str, idx: int, pkt: PcxPacket, valid: int = 1) -> None:
-        rv, rp, rc, rt, ra, rd, rq = self._prefix_regs(prefix)
-        ptype, core, thread, addr, data, reqid = pkt.pack_fields()
-        rv.write(idx, valid)
-        rp.write(idx, ptype)
-        rc.write(idx, core)
-        rt.write(idx, thread)
-        ra.write(idx, addr)
-        rd.write(idx, data)
-        rq.write(idx, reqid)
-
-    def _entry_invalidate(self, prefix: str, idx: int) -> None:
-        self._prefix_regs(prefix)[0].write(idx, 0)
+    @staticmethod
+    def _entry_write(regs: tuple, idx: int, fields: tuple) -> None:
+        """Latch ``pack_fields()`` output (already field-width masked)
+        into entry ``idx`` and set its valid bit."""
+        rv, rp, rc, rt, ra, rd, rq = regs
+        ptype, core, thread, addr, data, reqid = fields
+        rv.values[idx] = 1
+        rp.values[idx] = ptype
+        rc.values[idx] = core
+        rt.values[idx] = thread
+        ra.values[idx] = addr
+        rd.values[idx] = data
+        rq.values[idx] = reqid
 
     def _entry_valid(self, prefix: str, idx: int) -> bool:
-        return bool(self._prefix_regs(prefix)[0].values[idx])
+        return bool(self._queues[prefix][0].values[idx])
 
     # ------------------------------------------------------------------
     # Architected array helpers
@@ -315,15 +313,7 @@ class L2cRtl(RtlModule):
         if self.oq_count.value >= OQ_ENTRIES:
             return False
         tail = self.oq_tail.value % OQ_ENTRIES
-        ctype, core, thread, addr, data, reqid = pkt.pack_fields()
-        rv, rp, rc, rt, ra, rd, rq = self._prefix_regs("oq")
-        rv.write(tail, 1)
-        rp.write(tail, ctype)
-        rc.write(tail, core)
-        rt.write(tail, thread)
-        ra.write(tail, addr)
-        rd.write(tail, data)
-        rq.write(tail, reqid)
+        self._entry_write(self._oq, tail, pkt.pack_fields())
         self.oq_tail.write((self.oq_tail.value + 1) % OQ_ENTRIES)
         self.oq_count.write(self.oq_count.value + 1)
         return True
@@ -357,7 +347,7 @@ class L2cRtl(RtlModule):
         if self.iq_count.value >= IQ_ENTRIES:
             return False
         tail = self.iq_tail.value % IQ_ENTRIES
-        self._entry_write("iq", tail, pkt)
+        self._entry_write(self._iq, tail, pkt.pack_fields())
         self.iq_tail.write((self.iq_tail.value + 1) % IQ_ENTRIES)
         self.iq_count.write(self.iq_count.value + 1)
         return True
@@ -379,36 +369,48 @@ class L2cRtl(RtlModule):
     def tick(self, cycle: int) -> list[CpxPacket]:
         self.store_miss_completions = []
         self.exec_log = []
-        self.store_miss_done_valid.write(0)
-        self.store_miss_done_reqid.write(0)
+        self.store_miss_done_valid.value = 0
+        self.store_miss_done_reqid.value = 0
         if not self.write_disable:
-            self._drain_writeback()
-            self._process_fill()
+            if any(self.wbb_valid.values):
+                self._drain_writeback()
+            if any(self.fq_valid.values):
+                self._process_fill()
             self._advance_pipeline()
-            self._drain_invq()
+            if any(self.invq_valid.values):
+                self._drain_invq()
+        if not self.oq_count.value:
+            return []
         return self._drain_oq()
 
     def in_flight(self) -> int:
         count = self.iq_count.value + self.oq_count.value
-        for stage in range(1, 5):
-            count += self._entry_valid(f"p{stage}", 0)
-        for i in range(MB_ENTRIES):
-            count += self._entry_valid("mb", i)
-        for i in range(FQ_ENTRIES):
-            count += bool(self.fq_valid.read(i))
-        for i in range(WBB_ENTRIES):
-            count += bool(self.wbb_valid.read(i))
-        for i in range(INVQ_ENTRIES):
-            count += bool(self.invq_valid.read(i))
+        for valid in self._live_valids:
+            count += sum(map(bool, valid.values))
         count += bool(self.mcu_req_valid.value)
         return count
+
+    def idle(self) -> bool:
+        if (
+            self.iq_count.value
+            or self.oq_count.value
+            or self.mcu_req_valid.value
+            or self.store_miss_done_valid.value
+            or self.store_miss_done_reqid.value
+        ):
+            return False
+        for valid in self._live_valids:
+            if any(valid.values):
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Datapath stages
     # ------------------------------------------------------------------
     def _drain_writeback(self) -> None:
+        valid = self.wbb_valid.values
         for i in range(WBB_ENTRIES):
-            if self.wbb_valid.read(i):
+            if valid[i]:
                 data_int = self.wbb_data.read(i)
                 words = tuple(
                     (data_int >> (64 * w)) & _WORD_MASK for w in range(WORDS_PER_LINE)
@@ -434,21 +436,23 @@ class L2cRtl(RtlModule):
         if self.oq_count.value > OQ_ENTRIES - 4:
             return  # ensure completion CPX/INVs can always be queued
         slot = None
+        fq_valid = self.fq_valid.values
         for i in range(FQ_ENTRIES):
-            if self.fq_valid.read(i):
+            if fq_valid[i]:
                 slot = i
                 break
         if slot is None:
             return
-        fill_addr = self.fq_addr.read(slot)
+        fill_addr = self.fq_addr.values[slot]
         # find the miss-buffer entry this fill answers
         mb_idx = None
+        mb_valid = self._mb[0].values
+        mb_addr = self._mb[4].values
+        line_addr = self.amap.line_addr
         for i in range(MB_ENTRIES):
-            if self._entry_valid("mb", i):
-                mb_addr = self._registers["mb_addr"].read(i)
-                if self.amap.line_addr(mb_addr) == fill_addr:
-                    mb_idx = i
-                    break
+            if mb_valid[i] and line_addr(mb_addr[i]) == fill_addr:
+                mb_idx = i
+                break
         if mb_idx is None:
             # orphaned fill (e.g. corrupted MB address): drop it
             self.fq_valid.write(slot, 0)
@@ -489,13 +493,14 @@ class L2cRtl(RtlModule):
         self.fill_credits.write(min(FQ_ENTRIES, self.fill_credits.value + 1))
         self.perf_fills.write(self.perf_fills.value + 1)
         # complete the miss-buffer operation
-        pkt = self._entry_read("mb", mb_idx)
+        pkt = self._entry_read(self._mb, mb_idx)
         self._execute_op(pkt, li, is_fill_completion=True, mb_idx=mb_idx)
 
     def _advance_pipeline(self) -> None:
+        p1, p2, p3, p4 = self._pipe
         # execute stage (P4)
-        if self._entry_valid("p4", 0):
-            pkt = self._entry_read("p4", 0)
+        if p4[0].values[0]:
+            pkt = self._entry_read(p4, 0)
             if self._dependency_blocked(pkt.addr):
                 return  # whole pipeline stalls behind the dependency
             loc = self._lookup(pkt.addr)
@@ -504,26 +509,28 @@ class L2cRtl(RtlModule):
                 self.perf_hits.write(self.perf_hits.value + 1)
                 if not self._execute_op(pkt, li, is_fill_completion=False):
                     return  # OQ back-pressure: retry next cycle
-                self._entry_invalidate("p4", 0)
+                p4[0].values[0] = 0
             else:
                 if not self._start_miss(pkt):
                     return  # MB/credit back-pressure
-                self._entry_invalidate("p4", 0)
+                p4[0].values[0] = 0
             self.dbg_last_addr.write(pkt.addr)
-        # shift P3->P4, P2->P3, P1->P2
-        for dst, src in (("p4", "p3"), ("p3", "p2"), ("p2", "p1")):
-            if not self._entry_valid(dst, 0) and self._entry_valid(src, 0):
-                self._entry_write(dst, 0, self._entry_read(src, 0))
-                self._entry_invalidate(src, 0)
+        # shift P3->P4, P2->P3, P1->P2 (through a packet, as the stage
+        # latches decode: a malformed type field reads back normalized)
+        for dst, src in ((p4, p3), (p3, p2), (p2, p1)):
+            if not dst[0].values[0] and src[0].values[0]:
+                self._entry_write(dst, 0, self._entry_read(src, 0).pack_fields())
+                src[0].values[0] = 0
         # IQ head -> P1
-        if not self._entry_valid("p1", 0) and self.iq_count.value > 0:
+        if not p1[0].values[0] and self.iq_count.value > 0:
             head = self.iq_head.value % IQ_ENTRIES
-            if self._entry_valid("iq", head):
-                self._entry_write("p1", 0, self._entry_read("iq", head))
+            iq_valid = self._iq[0].values
+            if iq_valid[head]:
+                self._entry_write(p1, 0, self._entry_read(self._iq, head).pack_fields())
             else:
                 # valid bit flipped away: the request is lost
                 self.protocol_errors += 1
-            self._entry_invalidate("iq", head)
+            iq_valid[head] = 0
             self.iq_head.write((self.iq_head.value + 1) % IQ_ENTRIES)
             self.iq_count.write(self.iq_count.value - 1)
 
@@ -531,13 +538,17 @@ class L2cRtl(RtlModule):
         """A request whose line has an outstanding miss, or whose line is
         sitting in the writeback buffer, must wait (WBB snooping prevents
         a fill read overtaking the victim's writeback)."""
-        line = self.amap.line_addr(addr)
+        line_addr = self.amap.line_addr
+        line = line_addr(addr)
+        mb_valid = self._mb[0].values
+        mb_addr = self._mb[4].values
         for i in range(MB_ENTRIES):
-            if self._entry_valid("mb", i):
-                if self.amap.line_addr(self._registers["mb_addr"].read(i)) == line:
-                    return True
+            if mb_valid[i] and line_addr(mb_addr[i]) == line:
+                return True
+        wbb_valid = self.wbb_valid.values
+        wbb_addr = self.wbb_addr.values
         for i in range(WBB_ENTRIES):
-            if self.wbb_valid.read(i) and self.wbb_addr.read(i) == line:
+            if wbb_valid[i] and wbb_addr[i] == line:
                 return True
         return False
 
@@ -547,14 +558,15 @@ class L2cRtl(RtlModule):
         if pkt.ptype is PcxType.STORE and self.oq_count.value >= OQ_ENTRIES:
             return False  # the immediate store ack must not be dropped
         mb_idx = None
+        mb_valid = self._mb[0].values
         for i in range(MB_ENTRIES):
-            if not self._entry_valid("mb", i):
+            if not mb_valid[i]:
                 mb_idx = i
                 break
         if mb_idx is None:
             return False
         self.perf_misses.write(self.perf_misses.value + 1)
-        self._entry_write("mb", mb_idx, pkt)
+        self._entry_write(self._mb, mb_idx, pkt.pack_fields())
         self.mb_state.write(mb_idx, 1)  # waiting for fill
         self.fill_credits.write(self.fill_credits.value - 1)
         # stage and send the MCU read
@@ -644,7 +656,7 @@ class L2cRtl(RtlModule):
             # malformed packet type: protocol error, request dropped
             self.protocol_errors += 1
         if mb_idx is not None:
-            self._entry_invalidate("mb", mb_idx)
+            self._mb[0].values[mb_idx] = 0
             self.mb_state.write(mb_idx, 0)
         return True
 
@@ -669,25 +681,25 @@ class L2cRtl(RtlModule):
 
     def _drain_oq(self) -> list[CpxPacket]:
         out: list[CpxPacket] = []
+        valid, ptype, core, thread, addr, data, reqid = self._oq
         for _ in range(2):  # return bandwidth: 2 packets/cycle
             if self.oq_count.value == 0:
                 break
             head = self.oq_head.value % OQ_ENTRIES
-            if self._entry_valid("oq", head):
-                regs = self._registers
+            if valid.values[head]:
                 out.append(
                     CpxPacket.unpack_fields(
-                        regs["oq_ptype"].read(head),
-                        regs["oq_core"].read(head),
-                        regs["oq_thread"].read(head),
-                        regs["oq_addr"].read(head),
-                        regs["oq_data"].read(head),
-                        regs["oq_reqid"].read(head),
+                        ptype.values[head],
+                        core.values[head],
+                        thread.values[head],
+                        addr.values[head],
+                        data.values[head],
+                        reqid.values[head],
                     )
                 )
             else:
                 self.protocol_errors += 1  # packet lost to a valid-bit flip
-            self._entry_invalidate("oq", head)
+            valid.values[head] = 0
             self.oq_head.write((self.oq_head.value + 1) % OQ_ENTRIES)
             self.oq_count.write(self.oq_count.value - 1)
         return out

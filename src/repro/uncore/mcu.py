@@ -193,9 +193,17 @@ class McuRtl(RtlModule):
         if self.write_disable:
             return self.replies
         self._refresh_tick()
-        self._complete_bank_ops()
-        self._issue_from_queue()
-        self._drain_rrq()
+        # the MCU never sleeps (refresh and strobe tracking advance every
+        # cycle), but with no queued, in-service or returning request the
+        # three datapath stages are no-ops and are skipped
+        if (
+            self.rq_count.value
+            or any(self.svc_valid.values)
+            or any(self.rrq_valid.values)
+        ):
+            self._complete_bank_ops()
+            self._issue_from_queue()
+            self._drain_rrq()
         # strobe-alignment tracking rotates continuously with the refresh
         # counter (timing-critical shadow state, re-derived every cycle)
         self.phy_strobe_align.write(

@@ -208,6 +208,11 @@ class PcieRtl(RtlModule):
             remaining = max(0, self.dma_len.value - self.dma_progress.value)
         return remaining + self.fetch_valid.value + self.pay_valid.value
 
+    def idle(self) -> bool:
+        return not (
+            self.pay_valid.value or self.fetch_valid.value or self.dma_active.value
+        )
+
     def transfer_window(self) -> tuple[int, int]:
         if self.finish_cycle is None:
             raise ValueError("transfer has not completed")

@@ -261,6 +261,41 @@ class TestCampaignModes:
         for engine in FAST_ENGINES:
             assert blobs[engine] == blobs["reference"], engine
 
+    @pytest.mark.parametrize(
+        "component,bench,fault,scale",
+        [
+            ("pcie", "p-wc", None, 2e-5),
+            ("l2c", "fft", "sram:k=2", 1 / 120_000),
+            ("ccx", "radi", "mbu:k=2", 1 / 120_000),
+            ("ccx", "fft", "flicker:period=40", 1 / 120_000),
+            ("mcu", "flui", "flicker:period=40", 1 / 120_000),
+        ],
+    )
+    def test_sleeping_adapter_cells_identical(self, component, bench, fault, scale):
+        """The L2C, CCX and PCIe adapters sleep while both RTL copies are
+        idle (the MCU's datapath stages skip instead); the reference
+        engine ticks them every cycle.  Injections, SRAM bursts and
+        intermittent faults that wake them mid-window must leave the
+        bytes identical."""
+        spec = ExperimentSpec(
+            benchmark=bench,
+            component=component,
+            mode="injection",
+            machine=CFG,
+            scale=scale,
+            seed=2015,
+            n=2,
+            fault=fault,
+        )
+        blobs = {
+            engine: dumps_canonical(
+                Session(engine=engine).run(spec).to_dict()
+            )
+            for engine in ENGINES
+        }
+        for engine in FAST_ENGINES:
+            assert blobs[engine] == blobs["reference"], engine
+
     def test_spec_engine_field_is_digest_neutral(self):
         base = ExperimentSpec(machine=CFG, scale=1 / 120_000, n=2)
         for engine in ENGINES:
