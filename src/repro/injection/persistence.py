@@ -61,16 +61,14 @@ class PersistenceProbe:
         machine.restore(snap)
         machine.run_until_cycle(injection_cycle)
         adapter = plat._attach_quiesced(self.component, instance)
-        for _ in range(plat.cosim.warmup_min):
-            machine.step()
+        machine.run_until_cycle(machine.cycle + plat.cosim.warmup_min)
         adapter.flip(target_bit)
         elapsed = 0
         check = plat.cosim.check_interval
         persisted = cap
         while elapsed < cap:
             steps = min(check, cap - elapsed)
-            for _ in range(steps):
-                machine.step()
+            machine.run_until_cycle(machine.cycle + steps)
             elapsed += steps
             if machine.any_trap() is not None:
                 break

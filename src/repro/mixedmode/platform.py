@@ -29,7 +29,7 @@ from repro.mixedmode.adapters import (
     make_adapter,
 )
 from repro.system.machine import DEFAULT_ENGINE, Machine, MachineConfig
-from repro.system.outcome import Outcome, classify_outcome
+from repro.system.outcome import Outcome, RunResult, classify_outcome
 from repro.system.snapshots import SnapshotChain
 from repro.workloads import build_workload
 from repro.workloads.base import WorkloadImage
@@ -86,6 +86,75 @@ class GoldenRun:
             if c <= cycle and c >= best:
                 best = c
         return best, self.snapshots[best]
+
+    def finish(self, machine: Machine, hang_factor_cycles: int) -> RunResult:
+        """Phase 3: ``machine.run(hang_factor_cycles=...)`` with an exact
+        early stop once the machine re-converges with the golden run.
+
+        The machine advances checkpoint to checkpoint.  At each golden
+        checkpoint whose stored scalars (retired count, request id, last
+        retire cycle) equal the machine's, the whole machine snapshot is
+        compared with the checkpoint.  On equality the rest of the run
+        can only replay the golden run, so the machine jumps to the
+        golden halt state (:meth:`SnapshotChain.halt_state`: every
+        thread halted, uncore not yet drained) and ``machine.run``
+        drains the uncore from there.  The result, the final machine
+        state and the next run are those of full simulation.
+
+        * A chunk never crosses the cycle at which the watchdog fires;
+          trap, hang and completion exits are left to ``machine.run``,
+          so they happen at the same cycle.  The cycle cap cannot fire
+          before the last checkpoint: with a cap below the golden length
+          there is no jump to make.
+        * No jump while a corrupted word is watched but not yet read (a
+          later read still sets the propagation cycle); the watch fields
+          survive the jump.
+
+        ``machine`` must run the configuration the golden run ran on
+        (the watchdog that never fired there is the one checked here).
+        """
+        chain = self.snapshots
+        cap = min(machine.config.max_cycles, hang_factor_cycles)
+        if isinstance(chain, SnapshotChain) and self.cycles <= cap:
+            watchdog = machine.config.watchdog_cycles
+            for ckpt in chain:
+                if ckpt < machine.cycle:
+                    continue
+                if not _advance_before_exit(machine, ckpt, watchdog):
+                    break
+                if machine.corrupt_watch and machine.corrupt_read_cycle is None:
+                    continue
+                if chain.scalars(ckpt) != (
+                    machine.retired_total,
+                    machine._reqid,
+                    machine._last_retire_cycle,
+                ):
+                    continue
+                if machine.snapshot() != chain.state_at(ckpt):
+                    continue
+                watch, read = machine.corrupt_watch, machine.corrupt_read_cycle
+                machine.restore(chain.halt_state())
+                machine.corrupt_watch, machine.corrupt_read_cycle = watch, read
+                break
+        return machine.run(hang_factor_cycles=hang_factor_cycles)
+
+
+def _advance_before_exit(machine: Machine, target: int, watchdog: int) -> bool:
+    """Advance to ``target`` unless a run exit comes first.
+
+    Returns False, with the machine at the exit cycle, when a thread
+    trapped, every thread halted or the watchdog fires (as
+    :meth:`Machine.run` checks them) before ``target``.
+    """
+    while True:
+        if machine._trapped_threads or machine._live_threads == 0:
+            return False
+        if machine.cycle >= target:
+            return True
+        limit = machine._last_retire_cycle + watchdog + 1
+        if machine.cycle >= limit:
+            return False
+        machine.advance_until(target if target < limit else limit)
 
 
 @dataclass
@@ -380,8 +449,7 @@ class MixedModePlatform:
         machine.restore(snap)
         machine.run_until_cycle(injection_cycle)
         adapter = self._attach_quiesced(component, instance)
-        for _ in range(warmup):
-            machine.step()
+        machine.run_until_cycle(machine.cycle + warmup)
 
         # ---- phase 2: inject and co-simulate ------------------------------
         if fault is not None:
@@ -399,8 +467,7 @@ class MixedModePlatform:
         while True:
             steps = min(check, cap - cosim.cosim_cycles)
             if live is None:
-                for _ in range(steps):
-                    machine.step()
+                machine.run_until_cycle(machine.cycle + steps)
             else:
                 self._step_with_live_fault(adapter, live, steps)
             cosim.cosim_cycles += steps
@@ -467,7 +534,7 @@ class MixedModePlatform:
             machine.corrupt_watch = set(cosim.corrupted_words)
             machine.corrupt_read_cycle = None
             hang_cap = int(self.golden.cycles * self.cosim.hang_factor) + 50_000
-            result = machine.run(hang_factor_cycles=hang_cap)
+            result = self.golden.finish(machine, hang_cap)
             outcome = classify_outcome(result, self.golden.output, error_touched)
 
         # ---- measurements ----------------------------------------------------

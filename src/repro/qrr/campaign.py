@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from repro.mixedmode.platform import MixedModePlatform
 from repro.qrr.coverage import classify_coverage
 from repro.qrr.servers import QrrL2cServer, QrrMcuServer
+from repro.rtl.registers import FlipFlopClass
 
 
 @dataclass
@@ -58,31 +59,40 @@ class QrrCampaign:
             raise ValueError("QRR protects the memory-subsystem components")
         self.platform = platform
         self.component = component
+        self._covered: "list[int] | None" = None
 
     def _covered_bits(self, server) -> list[int]:
-        """Indices of parity-covered target bits (detection candidates)."""
-        module = server.rtl
-        covered = []
-        for idx, (name, _entry, _bit) in enumerate(module.target_bits()):
-            reg = module.registers()[name]
-            if not reg.timing_critical and not reg.config:
-                covered.append(idx)
-        return covered
+        """Indices of parity-covered target bits (detection candidates),
+        in ``target_bits()`` order.
+
+        Built once per campaign by walking the target registers' sizes
+        (every run attaches the same RTL class), so a run never
+        materializes the target index.
+        """
+        if self._covered is None:
+            covered: list[int] = []
+            offset = 0
+            for reg in server.rtl.registers().values():
+                if reg.ff_class is not FlipFlopClass.TARGET:
+                    continue
+                size = reg.flip_flops
+                if not reg.timing_critical and not reg.config:
+                    covered.extend(range(offset, offset + size))
+                offset += size
+            self._covered = covered
+        return self._covered
 
     def run(self, n_injections: int, seed: int = 0) -> QrrCampaignResult:
         plat = self.platform
         result = QrrCampaignResult(self.component, plat.benchmark)
         rng = random.Random(seed)
-        covered_cache: "list[int] | None" = None
         for _ in range(n_injections):
             if self.component == "l2c":
                 instance = rng.randrange(plat.machine_config.l2_banks)
             else:
                 instance = rng.randrange(plat.machine_config.mcus)
             cycle = rng.randrange(1, max(2, plat.golden.cycles - 1))
-            run_ok, rec_cycles, detected = self._one_run(
-                instance, cycle, rng, covered_cache_holder=lambda s: None
-            )
+            run_ok, rec_cycles, detected = self._one_run(instance, cycle, rng)
             result.injections += 1
             result.detected += int(detected)
             if run_ok:
@@ -95,7 +105,7 @@ class QrrCampaign:
             )
         return result
 
-    def _one_run(self, instance: int, cycle: int, rng, covered_cache_holder):
+    def _one_run(self, instance: int, cycle: int, rng):
         plat = self.platform
         machine = plat.machine
         _snap_cycle, snap = plat.golden.snapshot_at_or_before(cycle)
@@ -115,8 +125,7 @@ class QrrCampaign:
         warmup = plat.cosim.warmup_min + rng.randrange(
             max(1, plat.cosim.warmup_jitter)
         )
-        for _ in range(warmup):
-            machine.step()
+        machine.run_until_cycle(machine.cycle + warmup)
         # flip a parity-covered bit; detection fires the same cycle
         covered = self._covered_bits(server)
         bit = covered[rng.randrange(len(covered))]
@@ -134,7 +143,7 @@ class QrrCampaign:
         if machine.any_trap() is not None:
             return False, server.recovery_cycles_log, detected
         hang_cap = int(plat.golden.cycles * plat.cosim.hang_factor) + 50_000
-        final = machine.run(hang_factor_cycles=hang_cap)
+        final = plat.golden.finish(machine, hang_cap)
         ok = (
             final.completed
             and final.trap is None

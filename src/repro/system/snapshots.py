@@ -40,7 +40,7 @@ class SnapshotChain(Mapping):
             machine.step()
             if machine.cycle % cf == 0:
                 chain.checkpoint()  # delta since the previous one
-        chain.finalize()            # stop dirty tracking
+        chain.finalize()            # final state as a delta; stop tracking
 
     Checkpoints must be taken on a monotonically advancing machine (no
     ``restore`` between checkpoints); reads are valid at any time.
@@ -58,6 +58,8 @@ class SnapshotChain(Mapping):
         #: serves as a fold anchor so later materializations do not
         #: restart from the base
         self._memo: "tuple[int, dict] | None" = None
+        #: delta from the last checkpoint to the state at finalize()
+        self._halt: "dict | None" = None
 
     # ------------------------------------------------------------------
     # Capture
@@ -81,13 +83,32 @@ class SnapshotChain(Mapping):
         return cycle
 
     def finalize(self) -> None:
-        """Stop dirty tracking on the machine (capture is complete)."""
-        self._machine.delta_capture_end()
+        """Record the machine's final state as one more delta (read back
+        by :meth:`halt_state`) and stop dirty tracking."""
+        machine = self._machine
+        if self._base is not None:
+            self._halt = machine.delta_snapshot()
+        machine.delta_capture_end()
+
+    def halt_state(self) -> "dict | None":
+        """The full machine snapshot :meth:`finalize` recorded (``None``
+        before it).  Not a checkpoint: the mapping never returns it and
+        it never becomes the memo."""
+        if self._halt is None:
+            return None
+        return self._materialize(None)
 
     # ------------------------------------------------------------------
     # Mapping interface (cycle -> full snapshot)
     # ------------------------------------------------------------------
     def __getitem__(self, cycle: int) -> dict:
+        return self.state_at(cycle)
+
+    def state_at(self, cycle: int) -> dict:
+        """The full snapshot at checkpoint ``cycle`` (what ``chain[cycle]``
+        returns).  Phase 3 reads checkpoints to compare through this
+        name, so a mapping lookup always means a restore: run tracers
+        start a run's restore phase on it."""
         if not self._order:
             raise KeyError(cycle)
         if cycle == self._order[0]:
@@ -111,6 +132,15 @@ class SnapshotChain(Mapping):
         self._memo = (cycle, snap)
         return snap
 
+    def scalars(self, cycle: int) -> tuple[int, int, int]:
+        """``(retired_total, reqid, last_retire_cycle)`` stored at
+        checkpoint ``cycle``, read without materializing it."""
+        if self._order and cycle == self._order[0]:
+            rec = self._base
+        else:
+            rec = self._deltas[cycle]
+        return rec["retired_total"], rec["reqid"], rec["last_retire_cycle"]
+
     def __iter__(self):
         return iter(self._order)
 
@@ -123,14 +153,15 @@ class SnapshotChain(Mapping):
         )
 
     # ------------------------------------------------------------------
-    def _materialize(self, cycle: int) -> dict:
-        """Fold up to ``cycle`` into a full snapshot.
+    def _materialize(self, cycle: "int | None") -> dict:
+        """Fold up to checkpoint ``cycle`` -- ``None``: up to the state
+        :meth:`finalize` recorded -- into a full snapshot.
 
         Folds forward from the nearest earlier materialized snapshot
         (the memo) when one exists, so a sequence of materializations
         does not restart from the base each time.
         """
-        idx = self._index[cycle]
+        idx = len(self._order) if cycle is None else self._index[cycle]
         base = self._base
         anchor_idx = 0
         if self._memo is not None:
@@ -146,8 +177,10 @@ class SnapshotChain(Mapping):
         pcie = base["pcie"]
         #: per-core: (latest partial record, merged L1 index overrides)
         core_folds: list = [None] * len(base["cores"])
-        for c in self._order[anchor_idx + 1 : idx + 1]:
-            delta = self._deltas[c]
+        deltas = [self._deltas[c] for c in self._order[anchor_idx + 1 : idx + 1]]
+        if cycle is None:
+            deltas.append(self._halt)
+        for delta in deltas:
             for addr, value in delta["dram"].items():
                 if value is None:
                     dram.pop(addr, None)
@@ -193,7 +226,7 @@ class SnapshotChain(Mapping):
                     "threads": rec["threads"],
                 }
             )
-        last = self._deltas[cycle]
+        last = deltas[-1]
         return {
             "cycle": last["cycle"],
             "dram": dram,

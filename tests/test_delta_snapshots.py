@@ -40,10 +40,16 @@ def test_materialized_checkpoints_equal_full_snapshots(engine):
         shadow.run_cycles(interval)
         chain.checkpoint()
         fulls[machine.cycle] = shadow.snapshot()
+    # finalize records the state between checkpoints (the golden halt)
+    machine.run_cycles(150)
+    shadow.run_cycles(150)
     chain.finalize()
+    halt = shadow.snapshot()
+    assert chain.halt_state() == halt  # folded from the base
     assert list(chain) == list(fulls)
     for cycle, full in fulls.items():
         assert chain[cycle] == full, f"checkpoint at cycle {cycle} diverged"
+        assert chain.halt_state() == halt  # folded from the memo
 
 
 def test_restore_roundtrip_from_any_checkpoint():
