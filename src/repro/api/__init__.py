@@ -18,6 +18,8 @@ executor), get canonical results back::
 from repro.api.executor import (
     EXECUTOR_BACKENDS,
     CachingExecutor,
+    CampaignOutcome,
+    CellFailure,
     Executor,
     ParallelExecutor,
     SerialExecutor,
@@ -26,6 +28,7 @@ from repro.api.executor import (
     make_executor,
     register_backend,
     result_cache_path,
+    run_campaign,
     shard_by_digest,
     store_cached_result,
 )
@@ -48,6 +51,8 @@ from repro.api.spec import (
 
 __all__ = [
     "CachingExecutor",
+    "CampaignOutcome",
+    "CellFailure",
     "DEFAULT_MACHINE",
     "DEFAULT_SCALE",
     "EXECUTOR_BACKENDS",
@@ -69,6 +74,7 @@ __all__ = [
     "make_executor",
     "register_backend",
     "result_cache_path",
+    "run_campaign",
     "shard_by_digest",
     "store_cached_result",
 ]

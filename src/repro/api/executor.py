@@ -32,15 +32,21 @@ plain dicts as cells progress:
   "digest", "label"}`` -- from :class:`CachingExecutor` (``stale`` =
   an on-disk entry existed but was corrupt or mismatched).
 * ``{"type": "cell_retry", "index", "digest", "label", "attempt",
-  "delay", "error"}`` -- an attempt failed and the cell re-queues
-  after ``delay`` seconds (:class:`repro.resilience.RetryPolicy`).
+  "delay", "error", "cause"}`` -- an attempt failed and the cell
+  re-queues after ``delay`` seconds (:class:`repro.resilience.RetryPolicy`).
 * ``{"type": "cell_timeout", "index", "digest", "label", "worker",
-  "attempt", "timeout"}`` -- a cell outlived the per-cell deadline;
-  its hosting worker process is killed and the cell re-queues.
+  "attempt", "timeout", "cause"}`` -- a cell outlived the per-cell
+  deadline; its hosting worker process is killed and the cell re-queues.
 * ``{"type": "cell_exhausted", "index", "digest", "label", "attempt",
-  "error"}`` -- a cell spent its whole attempt budget; the sweep
-  finishes the remaining cells, then raises :class:`CellFailure`
+  "error", "cause"}`` -- a cell spent its whole attempt budget; the
+  sweep finishes the remaining cells, then raises :class:`CellFailure`
   naming the culprit.
+
+``cause`` types the failure -- ``exception`` (the cell raised),
+``worker_dead`` (its worker process died) or ``timeout`` (its deadline
+killed it) -- next to the human-readable ``error`` text.  The events
+fold into one cell ledger, :class:`repro.obs.ProgressState`, and
+:func:`run_campaign` runs a campaign around that ledger.
 
 Serial executors call back inline; :class:`ParallelExecutor` routes
 worker events through a manager queue drained by a coordinator thread,
@@ -75,6 +81,7 @@ sweep stays byte-identical to an untroubled one.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import itertools
 import logging
@@ -90,6 +97,7 @@ from typing import Callable, Protocol, Sequence, runtime_checkable
 from repro.api.result import ExperimentResult
 from repro.api.spec import ExperimentSpec
 from repro.api.session import Session
+from repro.obs.progress import ProgressState
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.shutdown import SweepInterrupted
 
@@ -107,16 +115,19 @@ class CellFailure(Exception):
     while the rest of the sweep completed.  Naming the culprit -- index,
     label, digest, and why -- is the point: a ten-thousand-cell sweep
     must never die anonymously, and every *other* cell's result is
-    already durable by the time this propagates."""
+    already durable by the time this propagates.  ``cause`` types the
+    last failure: ``exception``, ``worker_dead`` or ``timeout``."""
 
     def __init__(
-        self, index: int, digest: str, label: str, reason: str, attempts: int
+        self, index: int, digest: str, label: str, reason: str, attempts: int,
+        cause: "str | None" = None,
     ) -> None:
         self.index = index
         self.digest = digest
         self.label = label
         self.reason = reason
         self.attempts = attempts
+        self.cause = cause
         super().__init__(
             f"cell {index} ({label}, digest {digest}) failed after "
             f"{attempts} attempt(s): {reason}"
@@ -139,10 +150,6 @@ def _accepts_kw(executor, name: str) -> bool:
         return name in inspect.signature(executor.run).parameters
     except (TypeError, ValueError):
         return False
-
-
-def _accepts_on_event(executor) -> bool:
-    return _accepts_kw(executor, "on_event")
 
 
 class _SafeEmitter:
@@ -176,32 +183,28 @@ def _emitter(on_event: "OnEvent | None") -> "_SafeEmitter | None":
     return _SafeEmitter(on_event)
 
 
-def _safe_emit(on_event: "OnEvent | None", event: dict) -> None:
-    if on_event is None:
-        return
-    if isinstance(on_event, _SafeEmitter):
+def _safe_emit(on_event: "_SafeEmitter | None", event: dict) -> None:
+    if on_event is not None:
         on_event(event)
-        return
-    try:
-        on_event(event)
-    except Exception:
-        pass  # observers must never break the sweep
+
+
+def _cell_event(
+    etype: str, index: int, digest: str, label: str, **fields
+) -> dict:
+    """One per-cell event of the dialect above."""
+    return {
+        "type": etype, "index": index, "digest": digest, "label": label,
+        **fields,
+    }
 
 
 def _cell_events(spec: ExperimentSpec, index: int, total: int) -> dict:
     """The ``cell_start`` event for one cell (also the template the
     matching ``cell_done`` is built from)."""
-    digest = spec.digest()
-    start = {
-        "type": "cell_start",
-        "index": index,
-        "total": total,
-        "digest": digest,
-        "label": spec.label(),
-        "worker": os.getpid(),
-        "t": round(time.time(), 6),
-    }
-    return start
+    return _cell_event(
+        "cell_start", index, spec.digest(), spec.label(), total=total,
+        worker=os.getpid(), t=round(time.time(), 6),
+    )
 
 
 def _done_event(start: dict, seconds: float, cpu: float, records: int) -> dict:
@@ -279,35 +282,20 @@ class SerialExecutor:
                     raise
                 attempt += 1
                 reason = f"{type(exc).__name__}: {exc}"
+                ids = (i, start["digest"], start["label"])
                 if self.retry.exhausted(attempt):
-                    _safe_emit(
-                        on_event,
-                        {
-                            "type": "cell_exhausted",
-                            "index": i,
-                            "digest": start["digest"],
-                            "label": start["label"],
-                            "attempt": attempt,
-                            "error": reason,
-                        },
-                    )
+                    _safe_emit(on_event, _cell_event(
+                        "cell_exhausted", *ids, attempt=attempt,
+                        error=reason, cause="exception",
+                    ))
                     raise CellFailure(
-                        i, start["digest"], start["label"],
-                        f"raised {reason}", attempt,
+                        *ids, f"raised {reason}", attempt, "exception"
                     ) from exc
                 delay = self.retry.backoff(start["digest"], attempt)
-                _safe_emit(
-                    on_event,
-                    {
-                        "type": "cell_retry",
-                        "index": i,
-                        "digest": start["digest"],
-                        "label": start["label"],
-                        "attempt": attempt,
-                        "delay": round(delay, 6),
-                        "error": reason,
-                    },
-                )
+                _safe_emit(on_event, _cell_event(
+                    "cell_retry", *ids, attempt=attempt,
+                    delay=round(delay, 6), error=reason, cause="exception",
+                ))
                 time.sleep(delay)
                 continue
             _safe_emit(
@@ -367,14 +355,11 @@ def _run_spec_dict_ev(task: tuple) -> dict:
         pass
     t0, cpu0 = time.perf_counter(), time.process_time()
     result = _worker_session().run(spec)
-    done = _done_event(
-        start,
-        time.perf_counter() - t0,
-        time.process_time() - cpu0,
-        len(result.records),
-    )
     try:
-        q.put(done)
+        q.put(_done_event(
+            start, time.perf_counter() - t0, time.process_time() - cpu0,
+            len(result.records),
+        ))
     except Exception:
         pass
     return result.to_dict()
@@ -442,7 +427,7 @@ class ParallelExecutor:
         return self._run_supervised(specs, _emitter(on_event), stop, on_result)
 
     # ------------------------------------------------------------------
-    # supervised path: per-cell futures, live-cell tracking, recovery
+    # supervised path: per-cell futures, a cell ledger, recovery
     # ------------------------------------------------------------------
     def _run_supervised(
         self,
@@ -454,6 +439,14 @@ class ParallelExecutor:
         import multiprocessing as mp
 
         total = len(specs)
+        # every event folds into the ledger first: its running cells
+        # (pid + start) are what deadlines and broken-pool billing act on
+        ledger = ProgressState(total=total)
+
+        def emit(event: dict) -> None:
+            ledger.handle(event)
+            _safe_emit(on_event, event)
+
         state = {
             "tasks": [(i, total, spec.to_dict()) for i, spec in enumerate(specs)],
             "digests": [spec.digest() for spec in specs],
@@ -461,12 +454,7 @@ class ParallelExecutor:
             "results": {},   # index -> ExperimentResult
             "failures": {},  # index -> CellFailure
             "attempts": {i: 0 for i in range(total)},
-            # live cells, maintained by the drain thread from worker
-            # events (cell_start tells us which pid is running which
-            # index -- the handle the deadline enforcer kills by)
-            "lock": threading.Lock(),
-            "started_at": {},  # index -> monotonic start
-            "cell_pid": {},    # index -> worker pid
+            "ledger": ledger,
         }
         with mp.Manager() as manager:
             # a manager-proxy queue is picklable under every start
@@ -484,16 +472,7 @@ class ParallelExecutor:
                         continue
                     except (EOFError, OSError):
                         return  # manager went away (shutdown race)
-                    etype = event.get("type") if isinstance(event, dict) else None
-                    if etype == "cell_start":
-                        with state["lock"]:
-                            state["started_at"][event["index"]] = time.monotonic()
-                            state["cell_pid"][event["index"]] = event.get("worker")
-                    elif etype == "cell_done":
-                        with state["lock"]:
-                            state["started_at"].pop(event["index"], None)
-                            state["cell_pid"].pop(event["index"], None)
-                    _safe_emit(on_event, event)
+                    emit(event)
 
             drainer = threading.Thread(
                 target=drain, name="repro-obs-drain", daemon=True
@@ -514,7 +493,7 @@ class ParallelExecutor:
                     # one pool lifetime; a kill or crash inside ends it
                     # and the loop starts a fresh pool for the survivors
                     self._one_pool(
-                        pending, state, event_queue, on_event, stop, on_result
+                        pending, state, event_queue, emit, stop, on_result
                     )
             finally:
                 drain_stop.set()
@@ -525,7 +504,7 @@ class ParallelExecutor:
         return [state["results"][i] for i in range(total)]
 
     def _one_pool(
-        self, pending, state, event_queue, on_event, stop, on_result
+        self, pending, state, event_queue, emit, stop, on_result
     ) -> None:
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
@@ -535,44 +514,39 @@ class ParallelExecutor:
         failures = state["failures"]
         attempts = state["attempts"]
         digests, labels = state["digests"], state["labels"]
-        with state["lock"]:
-            state["started_at"].clear()
-            state["cell_pid"].clear()
         landed_before = len(results)
         charged: set = set()   # cells already billed an attempt this pool
         deferred: list = []    # (ready_at, index) waiting out a backoff
         broken = False
         draining = False
 
-        def exhaust(index: int, reason: str) -> None:
+        def cell_event(etype: str, index: int, **fields) -> None:
+            emit(_cell_event(
+                etype, index, digests[index], labels[index], **fields
+            ))
+
+        def exhaust(index: int, reason: str, cause: str) -> None:
             failures[index] = CellFailure(
-                index, digests[index], labels[index], reason, attempts[index]
+                index, digests[index], labels[index], reason,
+                attempts[index], cause,
             )
-            _safe_emit(
-                on_event,
-                {
-                    "type": "cell_exhausted",
-                    "index": index,
-                    "digest": digests[index],
-                    "label": labels[index],
-                    "attempt": attempts[index],
-                    "error": reason,
-                },
+            cell_event(
+                "cell_exhausted", index, attempt=attempts[index],
+                error=reason, cause=cause,
             )
 
-        def emit_retry(index: int, delay: float, reason: str) -> None:
-            _safe_emit(
-                on_event,
-                {
-                    "type": "cell_retry",
-                    "index": index,
-                    "digest": digests[index],
-                    "label": labels[index],
-                    "attempt": attempts[index],
-                    "delay": round(delay, 6),
-                    "error": reason,
-                },
+        def bill(index: int, delay: float, reason: str, cause: str) -> bool:
+            """One failed attempt; returns whether the cell re-queues
+            (after ``delay``) or exhausted its budget."""
+            attempts[index] += 1
+            if retry is None or retry.exhausted(attempts[index]):
+                exhaust(index, reason, cause)
+                return False
+            cell_event(
+                "cell_retry", index, attempt=attempts[index],
+                delay=round(delay, 6), error=reason, cause=cause,
             )
+            return True
 
         pool = ProcessPoolExecutor(
             max_workers=self.workers,
@@ -606,18 +580,17 @@ class ParallelExecutor:
                             broken = True
                         elif index in charged:
                             pass  # already billed by the deadline enforcer
+                        elif retry is None:
+                            raise exc
                         else:
-                            attempts[index] += 1
-                            if retry is None:
-                                raise exc
-                            reason = f"raised {type(exc).__name__}: {exc}"
-                            if retry.exhausted(attempts[index]):
-                                exhaust(index, reason)
-                            else:
-                                delay = retry.backoff(
-                                    digests[index], attempts[index]
-                                )
-                                emit_retry(index, delay, reason)
+                            delay = retry.backoff(
+                                digests[index], attempts[index] + 1
+                            )
+                            if bill(
+                                index, delay,
+                                f"raised {type(exc).__name__}: {exc}",
+                                "exception",
+                            ):
                                 deferred.append(
                                     (time.monotonic() + delay, index)
                                 )
@@ -655,24 +628,23 @@ class ParallelExecutor:
                     and not broken
                 ):
                     broken = self._enforce_deadlines(
-                        state, charged, exhaust, on_event
+                        state, charged, exhaust, cell_event
                     ) or broken
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
         if not broken:
             return
-        # the pool died: bill exactly the cells caught mid-flight (seen
-        # to start, never finished).  Give the event queue a beat first
-        # so in-flight cell_start/cell_done records are folded in.
+        # the pool died: bill exactly the cells the ledger shows caught
+        # mid-flight.  Give the event queue a beat first so in-flight
+        # cell_start/cell_done records are folded in.
         time.sleep(0.3)
-        with state["lock"]:
-            suspects = sorted(
-                i for i in state["started_at"]
-                if i not in results and i not in failures and i not in charged
-            )
-            state["started_at"].clear()
-            state["cell_pid"].clear()
+        suspects = sorted(
+            cell.index for cell in state["ledger"].running()
+            if cell.index not in results
+            and cell.index not in failures
+            and cell.index not in charged
+        )
         if not suspects and not charged and len(results) == landed_before:
             # nothing was ever attributed (a worker died during startup
             # or before its first event escaped): without a suspect the
@@ -682,59 +654,45 @@ class ParallelExecutor:
                 i for i in pending if i not in results and i not in failures
             ]
         for index in suspects:
-            attempts[index] += 1
-            reason = "its pool worker died (crash or kill)"
-            if retry is None or retry.exhausted(attempts[index]):
-                exhaust(index, reason)
-            else:
-                emit_retry(index, 0.0, reason)
+            bill(index, 0.0, "its pool worker died (crash or kill)",
+                 "worker_dead")
 
     def _enforce_deadlines(
-        self, state, charged: set, exhaust, on_event
+        self, state, charged: set, exhaust, cell_event
     ) -> bool:
-        """Kill the worker hosting any cell past its deadline (the only
-        reliable way to stop a wedged simulation is the process
-        boundary).  Returns whether a kill broke the pool."""
+        """Kill the worker hosting any ledger-running cell past its
+        deadline (the only reliable way to stop a wedged simulation is
+        the process boundary).  Returns whether a kill broke the pool."""
         retry = self.retry
         now = time.monotonic()
-        with state["lock"]:
-            over = [
-                (i, state["cell_pid"].get(i))
-                for i, t0 in state["started_at"].items()
-                if i not in charged
-                and i not in state["results"]
-                and retry.over_deadline(t0, now)
-            ]
+        over = [
+            cell for cell in state["ledger"].running()
+            if cell.index not in charged
+            and cell.index not in state["results"]
+            and retry.over_deadline(cell.t0, now)
+        ]
         killed = False
-        for index, pid in over:
+        for cell in over:
+            index = cell.index
             charged.add(index)
             state["attempts"][index] += 1
-            _safe_emit(
-                on_event,
-                {
-                    "type": "cell_timeout",
-                    "index": index,
-                    "digest": state["digests"][index],
-                    "label": state["labels"][index],
-                    "worker": pid,
-                    "attempt": state["attempts"][index],
-                    "timeout": retry.cell_timeout,
-                },
+            cell_event(
+                "cell_timeout", index, worker=cell.worker,
+                attempt=state["attempts"][index], timeout=retry.cell_timeout,
+                cause="timeout",
             )
             if retry.exhausted(state["attempts"][index]):
                 exhaust(
                     index,
                     f"exceeded cell_timeout={retry.cell_timeout}s",
+                    "timeout",
                 )
-            if pid:
+            if cell.worker:
                 try:
-                    os.kill(pid, signal.SIGKILL)
+                    os.kill(cell.worker, signal.SIGKILL)
                     killed = True
                 except OSError:
                     pass
-            with state["lock"]:
-                state["started_at"].pop(index, None)
-                state["cell_pid"].pop(index, None)
         return killed
 
 
@@ -857,42 +815,20 @@ class CachingExecutor:
         self.last_stale = 0
         for i, spec in enumerate(specs):
             cached, stale = load_cached_result(self._path_for(spec), spec)
+            ids = (i, spec.digest(), spec.label())
             if cached is not None:
                 results[i] = cached
                 obs.counter("cache.hits").inc()
                 _safe_emit(
-                    on_event,
-                    {
-                        "type": "cache_hit",
-                        "index": i,
-                        "total": len(specs),
-                        "digest": spec.digest(),
-                        "label": spec.label(),
-                    },
+                    on_event, _cell_event("cache_hit", *ids, total=len(specs))
                 )
                 continue
             if stale:
                 self.last_stale += 1
                 obs.counter("cache.stale").inc()
-                _safe_emit(
-                    on_event,
-                    {
-                        "type": "cache_stale",
-                        "index": i,
-                        "digest": spec.digest(),
-                        "label": spec.label(),
-                    },
-                )
+                _safe_emit(on_event, _cell_event("cache_stale", *ids))
             obs.counter("cache.misses").inc()
-            _safe_emit(
-                on_event,
-                {
-                    "type": "cache_miss",
-                    "index": i,
-                    "digest": spec.digest(),
-                    "label": spec.label(),
-                },
-            )
+            _safe_emit(on_event, _cell_event("cache_miss", *ids))
             miss_indices.append(i)
         self.last_hits = len(specs) - len(miss_indices)
         self.last_misses = len(miss_indices)
@@ -909,7 +845,7 @@ class CachingExecutor:
                 if 0 <= exc.index < len(miss_indices):
                     raise CellFailure(
                         miss_indices[exc.index], exc.digest, exc.label,
-                        exc.reason, exc.attempts,
+                        exc.reason, exc.attempts, exc.cause,
                     ) from exc
                 raise
             except SweepInterrupted as exc:
@@ -963,6 +899,68 @@ class CachingExecutor:
 
             kwargs["on_result"] = store_now
         return self.inner.run(miss_specs, **kwargs), stored
+
+
+# ----------------------------------------------------------------------
+# one campaign runner for every front end
+# ----------------------------------------------------------------------
+@dataclasses.dataclass
+class CampaignOutcome:
+    """How a :func:`run_campaign` call ended: ``done`` (``results`` in
+    spec order), ``interrupted`` (``failure`` is the
+    :class:`SweepInterrupted`) or ``failed`` (the :class:`CellFailure`).
+    ``worker_dead``: some worker died on the way (an event or a cause
+    says so), so the bus deserves an fsck."""
+
+    status: str
+    results: "list[ExperimentResult] | None"
+    failure: "Exception | None"
+    ledger: ProgressState
+    worker_dead: bool
+
+
+def run_campaign(
+    executor: Executor,
+    specs: Sequence[ExperimentSpec],
+    *,
+    journal=None,
+    stop: "threading.Event | None" = None,
+    on_event: "OnEvent | None" = None,
+    ledger: "ProgressState | None" = None,
+) -> CampaignOutcome:
+    """Run ``specs`` through ``executor`` with one cell ledger folding
+    the event stream.  The ledger's cells persist into ``journal`` (a
+    :class:`repro.resilience.SweepJournal`) as they move, ``on_event``
+    sees every event after the fold, and the journal is reconciled
+    against its bus on every exit.  Pass ``ledger`` to watch it live
+    (the CLI's progress line, serve's ``/stats``).  Exceptions other
+    than :class:`CellFailure` and :class:`SweepInterrupted` propagate.
+    """
+    specs = list(specs)
+    if ledger is None:
+        ledger = ProgressState(total=len(specs))
+
+    def fold(event: dict) -> None:
+        cell = ledger.handle(event)
+        if journal is not None:
+            journal.record(cell)
+        if on_event is not None:
+            on_event(event)
+
+    results, failure, status = None, None, "done"
+    try:
+        results = executor.run(specs, on_event=fold, stop=stop)
+    except SweepInterrupted as exc:
+        failure, status = exc, "interrupted"
+    except CellFailure as exc:
+        failure, status = exc, "failed"
+    finally:
+        if journal is not None:
+            journal.reconcile(specs)
+    worker_dead = bool(
+        ledger.tally["worker_deaths"] or ledger.causes.get("worker_dead")
+    )
+    return CampaignOutcome(status, results, failure, ledger, worker_dead)
 
 
 # ----------------------------------------------------------------------

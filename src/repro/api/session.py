@@ -99,10 +99,6 @@ class Session:
                 platform.machine.obs_flush()
         return result
 
-    def run_many(self, specs) -> list[ExperimentResult]:
-        """Run specs sequentially in this session (see also executors)."""
-        return [self.run(spec) for spec in specs]
-
     # ------------------------------------------------------------------
     # full-fidelity access (in-process callers: figures, benches)
     # ------------------------------------------------------------------

@@ -55,6 +55,7 @@ from repro.api import (
     Session,
     dumps_canonical,
     make_executor,
+    run_campaign,
 )
 from repro.faults.models import DEFAULT_FAULT
 from repro.system.machine import ENGINES, MachineConfig
@@ -174,12 +175,7 @@ def _grid_dict(grid: Grid) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    from repro.api.executor import CellFailure
-    from repro.resilience import (
-        GracefulShutdown,
-        SweepInterrupted,
-        SweepJournal,
-    )
+    from repro.resilience import GracefulShutdown, SweepJournal
 
     if args.fault and args.mode != "injection":
         raise _UserError("--fault applies to injection sweeps only")
@@ -273,50 +269,36 @@ def cmd_sweep(args) -> int:
         f"({executor.__class__.__name__}, workers={workers})"
     )
     observer = _sweep_observer(args, total=len(specs))
-    if journal is None:
-        on_event = observer
-    elif observer is None:
-        on_event = journal.handle_event
-    else:
-        def on_event(event, _observer=observer, _journal=journal):
-            _journal.handle_event(event)
-            _observer(event)
-
     with GracefulShutdown() as guard:
-        try:
-            results = executor.run(specs, on_event=on_event, stop=guard.stop)
-        except SweepInterrupted as exc:
-            if observer is not None:
-                observer.finish()
-            print(f"sweep interrupted: {exc.done}/{exc.total} cells landed")
-            if journal is not None:
-                journal.reconcile(specs)
-                print(
-                    f"resume with: repro sweep --resume {journal.directory}"
-                )
-            elif cache_dir is not None:
-                print(
-                    f"landed cells are durable in {cache_dir}; re-running "
-                    f"the same sweep with --cache-dir replays them as hits"
-                )
-            return 130
-        except CellFailure as exc:
-            if observer is not None:
-                observer.finish()
-            if journal is not None:
-                journal.reconcile(specs)
-            print(f"sweep failed: {exc}", file=sys.stderr)
-            if journal is not None:
-                print(
-                    f"completed cells are journaled; retry with: "
-                    f"repro sweep --resume {journal.directory}",
-                    file=sys.stderr,
-                )
-            return 1
+        outcome = run_campaign(
+            executor, specs, journal=journal, stop=guard.stop,
+            on_event=observer,
+            ledger=observer.state if observer is not None else None,
+        )
     if observer is not None:
         observer.finish()
+    if outcome.status == "interrupted":
+        exc = outcome.failure
+        print(f"sweep interrupted: {exc.done}/{exc.total} cells landed")
+        if journal is not None:
+            print(f"resume with: repro sweep --resume {journal.directory}")
+        elif cache_dir is not None:
+            print(
+                f"landed cells are durable in {cache_dir}; re-running "
+                f"the same sweep with --cache-dir replays them as hits"
+            )
+        return 130
+    if outcome.status == "failed":
+        print(f"sweep failed: {outcome.failure}", file=sys.stderr)
+        if journal is not None:
+            print(
+                f"completed cells are journaled; retry with: "
+                f"repro sweep --resume {journal.directory}",
+                file=sys.stderr,
+            )
+        return 1
+    results = outcome.results
     if journal is not None:
-        journal.reconcile(specs)
         counts = journal.counts()
         print(
             f"journal {journal.directory}: {counts['landed']}/{len(specs)} "
@@ -361,7 +343,8 @@ def cmd_sweep(args) -> int:
 class _SweepObserver:
     """Sweep-side consumer of the executor ``on_event`` stream.
 
-    One callable object wires the three obs sinks together: the live
+    The campaign's cell ledger (``state``, folded by
+    :func:`~repro.api.run_campaign`) feeds three obs sinks: the live
     progress line (``--progress``), the JSON-lines trace (``--trace-out``,
     one cell span per ``cell_done`` plus cache instants, with the
     in-process golden-chunk/materialize spans interleaved by the
@@ -391,7 +374,6 @@ class _SweepObserver:
             obs.set_tracer(self.trace)
 
     def __call__(self, event: dict) -> None:
-        self.state.handle(event)
         if self.trace is not None:
             self._trace_event(event)
         if self.renderer is not None:
@@ -433,6 +415,16 @@ class _SweepObserver:
                 index=event.get("index"), attempt=event.get("attempt"),
             )
 
+    def _unfinished(self) -> str:
+        """Each started-but-unlanded cell with its ledger state and
+        typed cause, e.g. ``3 exhausted (timeout), 5 running``."""
+        incomplete = self.state.incomplete()
+        cells = [c for c in self.state.cells.values() if c.index in incomplete]
+        return ", ".join(
+            f"{c.index} {c.state}" + (f" ({c.cause})" if c.cause else "")
+            for c in sorted(cells, key=lambda c: c.index)
+        )
+
     def finish(self) -> None:
         if self.renderer is not None:
             self.renderer.finish()
@@ -446,8 +438,7 @@ class _SweepObserver:
             if report["incomplete"]:
                 line += (
                     f"; WARNING: {len(report['incomplete'])} cells started "
-                    f"but never finished (indices "
-                    f"{report['incomplete']}) -- a worker may have died"
+                    f"but never finished: {self._unfinished()}"
                 )
             print(line)
         if self.trace is not None:

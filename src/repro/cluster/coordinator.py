@@ -62,6 +62,7 @@ from repro.api.executor import (
     OnEvent,
     OnResult,
     SerialExecutor,
+    _cell_event,
     _emitter,
     _safe_emit,
     shard_by_digest,
@@ -471,6 +472,7 @@ class ClusterExecutor:
                     self._requeue_locked(
                         [index], st, emit,
                         reason=str(message.get("error", "cell_error")),
+                        cause="exception",
                     )
         elif mtype == "ready":
             agent.pid = message.get("pid", agent.pid)
@@ -496,13 +498,22 @@ class ClusterExecutor:
         with self._emit_lock:
             _safe_emit(emit, event)
 
+    def _cell_event(self, etype: str, index: int, **fields) -> dict:
+        return _cell_event(
+            etype, index, self._digest_cache[index],
+            self._label_cache[index], **fields,
+        )
+
     def _requeue_locked(
-        self, indices, st, emit, reason: str = "worker died"
+        self, indices, st, emit, reason: str = "worker died",
+        cause: str = "worker_dead", timed_out=(),
     ) -> int:
         """Re-queue cells (caller holds the state lock); returns how
         many still had retry budget.  Re-queues carry a deterministic
         backoff delay when a :class:`RetryPolicy` is set, and each
-        transition streams as ``cell_retry`` / ``cell_exhausted``."""
+        transition streams as ``cell_retry`` / ``cell_exhausted`` with
+        its typed ``cause`` (``timeout`` for the cells in
+        ``timed_out``)."""
         from repro import obs
 
         retries = st["retries"]
@@ -510,19 +521,13 @@ class ClusterExecutor:
         for index in indices:
             retries[index] = retries.get(index, 0) + 1
             attempt = retries[index]
+            why = "timeout" if index in timed_out else cause
             if attempt > self.max_retries:
                 st["abandoned"].add(index)
-                self._forward(
-                    emit,
-                    {
-                        "type": "cell_exhausted",
-                        "index": index,
-                        "digest": self._digest_cache[index],
-                        "label": self._label_cache[index],
-                        "attempt": attempt,
-                        "error": reason,
-                    },
-                )
+                self._forward(emit, self._cell_event(
+                    "cell_exhausted", index, attempt=attempt, error=reason,
+                    cause=why,
+                ))
             else:
                 delay = (
                     self.retry.backoff(self._digest_cache[index], attempt)
@@ -536,18 +541,10 @@ class ClusterExecutor:
                         self._spec_dict_cache[index],
                     )
                 )
-                self._forward(
-                    emit,
-                    {
-                        "type": "cell_retry",
-                        "index": index,
-                        "digest": self._digest_cache[index],
-                        "label": self._label_cache[index],
-                        "attempt": attempt,
-                        "delay": round(delay, 6),
-                        "error": reason,
-                    },
-                )
+                self._forward(emit, self._cell_event(
+                    "cell_retry", index, attempt=attempt,
+                    delay=round(delay, 6), error=reason, cause=why,
+                ))
                 requeued += 1
         if requeued:
             self.last_requeued += requeued
@@ -570,32 +567,27 @@ class ClusterExecutor:
                 if now - t0 > timeout and index not in st["landed"]
             ]
         doomed: list = []
+        timed_out: set = set()
         for index, agent in over:
             if agent.dead:
                 continue
             self.last_timeouts += 1
             obs.counter("cluster.cell_timeouts").inc()
-            self._forward(
-                emit,
-                {
-                    "type": "cell_timeout",
-                    "index": index,
-                    "digest": self._digest_cache[index],
-                    "label": self._label_cache[index],
-                    "worker": agent.pid,
-                    "attempt": st["retries"].get(index, 0) + 1,
-                    "timeout": timeout,
-                },
-            )
+            self._forward(emit, self._cell_event(
+                "cell_timeout", index, worker=agent.pid,
+                attempt=st["retries"].get(index, 0) + 1, timeout=timeout,
+                cause="timeout",
+            ))
             with st["lock"]:
                 st["running"].pop(index, None)
+            timed_out.add(index)
             if agent not in doomed:
                 doomed.append(agent)
         for agent in doomed:
-            self._declare_dead(agent, st, emit, kill=True)
+            self._declare_dead(agent, st, emit, kill=True, timed_out=timed_out)
         return bool(doomed)
 
-    def _declare_dead(self, agent, st, emit, kill: bool) -> None:
+    def _declare_dead(self, agent, st, emit, kill: bool, timed_out=()) -> None:
         from repro import obs
         from repro.api.executor import logger
 
@@ -612,7 +604,7 @@ class ClusterExecutor:
                 i for i, (a, _) in st["running"].items() if a is agent
             ]:
                 st["running"].pop(index, None)
-            self._requeue_locked(lost, st, emit)
+            self._requeue_locked(lost, st, emit, timed_out=timed_out)
         self.last_worker_deaths += 1
         obs.counter("cluster.worker_deaths").inc()
         logger.warning(

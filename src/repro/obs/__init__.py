@@ -17,9 +17,10 @@ touching experiment semantics:
   records with wall + CPU time and an RSS sample, serialized as
   canonical JSON-lines and convertible to Chrome ``trace_event`` format.
   Tracing is off unless a writer is installed via :func:`set_tracer`.
-* **Progress streaming** (:mod:`repro.obs.progress`): consumes the
-  executor ``on_event`` stream (cell start/done, cache hit/miss/stale)
-  and renders live cells/sec, ETA, cache hit rate and per-worker RSS.
+* **Progress streaming** (:mod:`repro.obs.progress`): the cell ledger
+  folding the executor ``on_event`` stream (per-cell state and typed
+  failure cause) and the live cells/sec, ETA, cache hit rate and
+  per-worker RSS view drawn from it.
 * **Operational snapshots** (:mod:`repro.obs.report`): render the
   registry as a table or Prometheus text-exposition format; ``repro
   top`` reads the snapshot files sweeps write.
@@ -35,7 +36,6 @@ bit-identical with obs on or off (the differential suite runs under
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.obs.registry import (
@@ -146,10 +146,3 @@ def rss_kb() -> int:
 def cpu_seconds() -> float:
     """Process CPU time (user + system) in seconds."""
     return time.process_time()
-
-
-def obs_env() -> dict:
-    """The obs-related environment, for debugging/worker propagation."""
-    return {
-        k: v for k, v in os.environ.items() if k.startswith("REPRO_OBS")
-    }

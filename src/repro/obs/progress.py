@@ -1,109 +1,185 @@
-"""Executor progress streaming: state tracking and live rendering.
+"""Executor progress streaming: the cell ledger and its live rendering.
 
 Executors emit plain-dict events through their optional ``on_event``
-callback (see :mod:`repro.api.executor`):
+callback (the dialect is documented in :mod:`repro.api.executor`):
+``cell_start``/``cell_done``, the caching layer's ``cache_hit``/
+``cache_miss``/``cache_stale``, the cluster's ``worker_heartbeat``/
+``worker_dead``, and the resilience layer's ``cell_retry``/
+``cell_timeout``/``cell_exhausted`` (each with a typed ``cause``).
 
-* ``cell_start`` -- a cell began executing (``index``, ``digest``,
-  ``label``, ``worker`` pid, ``t`` wall time).
-* ``cell_done`` -- a cell finished (``seconds``, ``cpu_seconds``,
-  ``rss_kb`` of the executing worker, ``records``).
-* ``cache_hit`` / ``cache_miss`` / ``cache_stale`` -- the caching
-  executor resolved a cell against the on-disk store (``stale`` =
-  corrupt or mismatched entry, recomputed).
-* ``worker_heartbeat`` / ``worker_dead`` -- cluster coordinator
-  liveness stream: a worker agent's periodic RSS beacon, and the
-  declaration that one died (its unfinished cells were re-queued, so
-  their ``cell_start`` entries resolve later from another worker).
-* ``cell_retry`` / ``cell_timeout`` / ``cell_exhausted`` -- the
-  resilience layer re-queued a failed attempt, killed a cell past its
-  wall-clock deadline, or spent a cell's whole attempt budget
-  (:class:`repro.resilience.RetryPolicy`).
-
-:class:`ProgressState` folds the stream into campaign-level facts
-(done counts, cells/sec, ETA, cache hit rate, per-worker RSS) and
-produces a coherent final :meth:`report` even when terminal events are
-missing -- a killed worker leaves its cells in ``incomplete`` instead
-of wedging the accounting.  :class:`ProgressRenderer` draws the live
+:class:`ProgressState` is the one fold of that stream, the *cell
+ledger*: per cell (digest plus the event's index) a state machine
+(:data:`TRANSITIONS`, ``pending -> running -> landed | exhausted``, and
+``failed`` on ``cell_error``) with the attempts billed, worker pid,
+monotonic attempt start and last typed failure ``cause``.  The sweep
+journal persists its states, serve's ``/stats`` sums it, the pool
+executor's deadline and broken-pool logic read its running cells, and
+:func:`repro.api.run_campaign` returns it.  Its :meth:`report` stays
+coherent when terminal events are missing -- a killed worker leaves its
+cells in ``incomplete``.  :class:`ProgressRenderer` draws the live
 one-line view ``repro sweep --progress`` shows.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
+import threading
 import time
+
+#: The per-cell lifecycle.  ``failed``: an attempt raised (``cell_error``)
+#: and may re-run; ``exhausted``: the attempt budget is spent.
+CELL_STATES = ("pending", "running", "landed", "failed", "exhausted")
+
+#: Typed failure causes carried by ``cell_retry``, ``cell_timeout`` and
+#: ``cell_exhausted`` events (and :class:`~repro.api.executor.CellFailure`).
+CAUSES = ("exception", "worker_dead", "timeout")
+
+#: Legal moves of the per-cell state machine.  ``landed`` absorbs every
+#: later event (a durable result is never un-landed: a straggler's retry
+#: or a second cache hit is an idempotent landing); an exhausted cell may
+#: still land through a fallback pass (the cluster's local merge) but
+#: never re-queues.
+TRANSITIONS = {
+    "pending": frozenset(CELL_STATES),
+    "running": frozenset(CELL_STATES),
+    "failed": frozenset(CELL_STATES),
+    "exhausted": frozenset({"running", "landed", "exhausted"}),
+    "landed": frozenset({"landed"}),
+}
+
+#: Campaign-level tallies: event type -> counter, named as the serve
+#: daemon's ``/stats`` counters (``records`` sums ``cell_done`` records).
+TALLIES = {
+    "cell_done": "cells_done",
+    "cache_hit": "cache_hits",
+    "cache_miss": "cache_misses",
+    "cache_stale": "cache_stale",
+    "cell_retry": "retries",
+    "cell_timeout": "timeouts",
+    "worker_dead": "worker_deaths",
+}
+
+#: The state each cell event moves its cell to.
+EVENT_TARGET = {
+    "cell_start": "running",
+    "cell_done": "landed",
+    "cache_hit": "landed",
+    "cell_retry": "pending",
+    "cell_timeout": "pending",
+    "cell_error": "failed",
+    "cell_exhausted": "exhausted",
+}
+
+
+@dataclasses.dataclass
+class Cell:
+    """One cell's ledger entry."""
+
+    digest: "str | None"
+    index: "int | None"
+    state: str = "pending"
+    attempts: int = 0           # attempts billed (the events' ``attempt``)
+    worker: "int | None" = None  # pid hosting the latest attempt
+    t0: "float | None" = None   # monotonic start of the latest attempt
+    cause: "str | None" = None  # the latest typed failure cause
 
 
 class ProgressState:
-    """Folds executor events into live campaign state."""
+    """The cell ledger: folds executor events into per-cell state and
+    campaign-level tallies.  Thread-safe: a pool's drain thread and its
+    coordinator fold into one ledger concurrently."""
 
     def __init__(self, total: "int | None" = None) -> None:
         self.total = total
+        self.cells: "dict[tuple, Cell]" = {}
+        # index views maintained by the fold (O(1) progress reads)
         self.started: set[int] = set()
         self.done: set[int] = set()
-        self.done_digests: set[str] = set()
-        self.hits = 0
-        self.misses = 0
-        self.stale = 0
-        self.records = 0
-        self.worker_rss_kb: dict[int, int] = {}
-        self.worker_deaths = 0
-        self.retries = 0
-        self.timeouts = 0
         self.exhausted: set[int] = set()
-        self.t_start = time.monotonic()
-        self.last_event: "dict | None" = None
+        self.tally = dict.fromkeys([*TALLIES.values(), "records"], 0)
+        self.worker_rss_kb: dict[int, int] = {}
+        self.causes: dict[str, int] = {}
+        self.illegal = 0
         self.malformed = 0
+        self.t_start = time.monotonic()
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def handle(self, event: dict) -> None:
-        """Fold one event (unknown/malformed events are tallied, never
-        raised -- progress must not be able to break a run)."""
+    def handle(self, event: dict) -> "Cell | None":
+        """Fold one event; returns the cell it concerns (``None`` for
+        campaign-level events).  Unknown/malformed events are tallied,
+        never raised -- progress must not be able to break a run."""
         if not isinstance(event, dict) or "type" not in event:
             self.malformed += 1
-            return
-        self.last_event = event
-        etype = event["type"]
-        if etype == "cell_start":
-            if self.total is None and "total" in event:
-                self.total = event["total"]
-            if "index" in event:
-                self.started.add(event["index"])
-        elif etype == "cell_done":
-            if "index" in event:
-                self.started.add(event["index"])
-                self.done.add(event["index"])
-            if "digest" in event:
-                self.done_digests.add(event["digest"])
-            self.records += event.get("records", 0)
-            worker = event.get("worker")
-            if worker is not None and "rss_kb" in event:
-                self.worker_rss_kb[worker] = event["rss_kb"]
-        elif etype == "cache_hit":
-            self.hits += 1
-            if "index" in event:
-                # a hit is a terminal state for its cell
-                self.started.add(event["index"])
-                self.done.add(event["index"])
-        elif etype == "cache_miss":
-            self.misses += 1
-        elif etype == "cache_stale":
-            self.stale += 1
-        elif etype == "worker_heartbeat":
-            worker = event.get("worker")
-            if worker is not None and "rss_kb" in event:
-                self.worker_rss_kb[worker] = event["rss_kb"]
-        elif etype == "worker_dead":
-            self.worker_deaths += 1
-            self.worker_rss_kb.pop(event.get("worker"), None)
-        elif etype == "cell_retry":
-            self.retries += 1
-        elif etype == "cell_timeout":
-            self.timeouts += 1
-        elif etype == "cell_exhausted":
-            if "index" in event:
-                self.exhausted.add(event["index"])
-        else:
+            return None
+        with self._lock:
+            self._tally(event)
+            if event["type"] in EVENT_TARGET:
+                return self._move(event)
+            return None
+
+    def _tally(self, event: dict) -> None:
+        etype, worker = event["type"], event.get("worker")
+        if etype in TALLIES:
+            self.tally[TALLIES[etype]] += 1
+        elif etype not in EVENT_TARGET and etype != "worker_heartbeat":
             self.malformed += 1
+        if etype == "cell_start" and self.total is None:
+            self.total = event.get("total")
+        elif etype == "cell_done":
+            self.tally["records"] += event.get("records", 0)
+        elif etype == "worker_dead":
+            self.worker_rss_kb.pop(worker, None)
+        if worker is not None and "rss_kb" in event:
+            self.worker_rss_kb[worker] = event["rss_kb"]
+        cause = event.get("cause")
+        if cause is not None:
+            self.causes[cause] = self.causes.get(cause, 0) + 1
+
+    def _move(self, event: dict) -> "Cell | None":
+        key = (event.get("digest"), event.get("index"))
+        if key == (None, None):
+            return None
+        cell = self.cells.get(key)
+        if cell is None:
+            cell = self.cells[key] = Cell(*key)
+        target = EVENT_TARGET[event["type"]]
+        if cell.state == "landed":
+            return cell  # absorbing: an idempotent landing
+        if target not in TRANSITIONS[cell.state]:
+            self.illegal += 1
+            return cell
+        if target == "running":
+            cell.worker = event.get("worker")
+            cell.t0 = time.monotonic()
+        if "attempt" in event:
+            cell.attempts = event["attempt"]
+        if event.get("cause") is not None:
+            cell.cause = event["cause"]
+        elif target == "failed":
+            cell.cause = "exception"
+        cell.state = target
+        index = cell.index
+        if index is not None:
+            if target in ("running", "landed"):
+                self.started.add(index)
+            if target == "landed":
+                self.done.add(index)
+            if target == "exhausted":
+                self.exhausted.add(index)
+            else:
+                self.exhausted.discard(index)
+        return cell
+
+    def running(self) -> "list[Cell]":
+        """Snapshot copies of the cells mid-attempt."""
+        with self._lock:
+            return [
+                dataclasses.replace(cell)
+                for cell in self.cells.values()
+                if cell.state == "running"
+            ]
 
     # ------------------------------------------------------------------
     # derived facts
@@ -125,12 +201,14 @@ class ProgressState:
         return max(0.0, (self.total - len(self.done)) / rate)
 
     def cache_hit_rate(self) -> "float | None":
-        looked_up = self.hits + self.misses
-        return self.hits / looked_up if looked_up else None
+        hits = self.tally["cache_hits"]
+        looked_up = hits + self.tally["cache_misses"]
+        return hits / looked_up if looked_up else None
 
     def incomplete(self) -> set[int]:
-        """Cells that started but never reported a terminal event (the
-        footprint of a killed or lost worker)."""
+        """Cells that started but never landed: a killed or lost worker,
+        or a spent attempt budget (each :class:`Cell` ``cause`` says
+        which)."""
         return self.started - self.done
 
     # ------------------------------------------------------------------
@@ -142,19 +220,19 @@ class ProgressState:
             "started": len(self.started),
             "done": len(self.done),
             "incomplete": sorted(self.incomplete()),
-            "records": self.records,
+            "records": self.tally["records"],
             "cache": {
-                "hits": self.hits,
-                "misses": self.misses,
-                "stale": self.stale,
+                "hits": self.tally["cache_hits"],
+                "misses": self.tally["cache_misses"],
+                "stale": self.tally["cache_stale"],
             },
             "elapsed_seconds": round(self.elapsed(), 3),
             "cells_per_sec": round(self.cells_per_sec(), 3),
             "workers": len(self.worker_rss_kb),
             "worker_rss_kb": dict(sorted(self.worker_rss_kb.items())),
-            "worker_deaths": self.worker_deaths,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
+            "worker_deaths": self.tally["worker_deaths"],
+            "retries": self.tally["retries"],
+            "timeouts": self.tally["timeouts"],
             "exhausted": sorted(self.exhausted),
             "malformed_events": self.malformed,
         }
@@ -168,16 +246,15 @@ class ProgressState:
         obs.gauge("sweep.cells_total").set(self.total or 0)
         obs.gauge("sweep.cells_done").set(len(self.done))
         obs.gauge("sweep.cells_per_sec").set(round(self.cells_per_sec(), 3))
-        obs.gauge("sweep.records").set(self.records)
+        obs.gauge("sweep.records").set(self.tally["records"])
         hit_rate = self.cache_hit_rate()
         if hit_rate is not None:
             obs.gauge("sweep.cache_hit_rate").set(round(hit_rate, 4))
-        if self.worker_deaths:
-            obs.gauge("sweep.worker_deaths").set(self.worker_deaths)
-        if self.retries:
-            obs.gauge("sweep.cell_retries").set(self.retries)
-        if self.timeouts:
-            obs.gauge("sweep.cell_timeouts").set(self.timeouts)
+        for name, gauge in (("worker_deaths", "worker_deaths"),
+                            ("retries", "cell_retries"),
+                            ("timeouts", "cell_timeouts")):
+            if self.tally[name]:
+                obs.gauge(f"sweep.{gauge}").set(self.tally[name])
         if self.exhausted:
             obs.gauge("sweep.cells_exhausted").set(len(self.exhausted))
         for worker, rss in self.worker_rss_kb.items():
@@ -221,10 +298,12 @@ class ProgressRenderer:
             f"{state.cells_per_sec():.2f}/s",
             f"eta {_fmt_eta(state.eta_seconds())}",
         ]
+        tally = state.tally
         hit_rate = state.cache_hit_rate()
         if hit_rate is not None:
             parts.append(
-                f"cache {state.hits}h/{state.misses}m ({hit_rate:.0%})"
+                f"cache {tally['cache_hits']}h/{tally['cache_misses']}m "
+                f"({hit_rate:.0%})"
             )
         if state.worker_rss_kb:
             peak = max(state.worker_rss_kb.values())
@@ -232,10 +311,10 @@ class ProgressRenderer:
                 f"workers {len(state.worker_rss_kb)} "
                 f"(peak rss {peak / 1024:.0f}MB)"
             )
-        if state.worker_deaths:
-            parts.append(f"deaths {state.worker_deaths}")
-        if state.retries or state.timeouts:
-            parts.append(f"retries {state.retries}/{state.timeouts}to")
+        if tally["worker_deaths"]:
+            parts.append(f"deaths {tally['worker_deaths']}")
+        if tally["retries"] or tally["timeouts"]:
+            parts.append(f"retries {tally['retries']}/{tally['timeouts']}to")
         return "sweep: " + "  ".join(parts)
 
     def maybe_render(self, force: bool = False) -> None:

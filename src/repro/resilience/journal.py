@@ -10,8 +10,8 @@ in which order, and how far it got.  The journal records exactly that:
 * ``repro sweep --journal DIR`` writes ``DIR/journal.json`` before the
   first cell runs: the full grid description (the same dict the sweep
   JSON embeds), the digest-keyed cell list in reporting order, and a
-  per-cell state machine (``pending`` -> ``landed`` | ``failed`` |
-  ``exhausted``) folded from the executor event stream as results land.
+  per-cell state persisted from the executor event stream's cell
+  ledger (:class:`repro.obs.ProgressState`) as results land.
 * Every write is atomic (unique temp name + ``os.replace``, the same
   discipline as the result bus), so a SIGKILL at any instant leaves
   either the previous or the next journal -- never a torn one.
@@ -36,6 +36,8 @@ import os
 import time
 from pathlib import Path
 
+from repro.obs.progress import ProgressState
+
 #: Bump when the journal layout changes incompatibly.
 JOURNAL_VERSION = 1
 
@@ -45,11 +47,11 @@ JOURNAL_NAME = "journal.json"
 #: Default result-bus subdirectory for journals that own their bus.
 DEFAULT_BUS_NAME = "bus"
 
-#: The per-cell state machine.  ``pending`` cells have no durable
-#: result; ``landed`` cells are in the bus; ``failed`` cells raised at
-#: least once (and may later land via a retry); ``exhausted`` cells ran
-#: out of distributed retry budget (the local merge pass still computes
-#: them, after which they land).
+#: The durable subset of the ledger's cell states.  ``pending`` cells
+#: have no durable result; ``landed`` cells are in the bus; ``failed``
+#: cells raised (and may later land via a retry); ``exhausted`` cells
+#: spent their attempt budget (the cluster's local merge pass still
+#: computes them, after which they land).
 CELL_STATES = ("pending", "landed", "failed", "exhausted")
 
 _TMP_IDS = itertools.count()
@@ -83,6 +85,9 @@ class SweepJournal:
         self.bus = bus
         self.created = created if created is not None else round(time.time(), 6)
         self._by_digest = {cell["digest"]: cell for cell in cells}
+        #: what :meth:`handle_event` folds through (``run_campaign``
+        #: records its own ledger's cells instead)
+        self.ledger = ProgressState(total=len(cells))
 
     # ------------------------------------------------------------------
     # construction / loading
@@ -168,22 +173,6 @@ class SweepJournal:
                 raise KeyError(key)
         return Grid.from_dict(grid)
 
-    def to_specs(self):
-        """The journaled cell specs in reporting order.
-
-        Grid-form journals (``repro sweep --journal``) expand through
-        :meth:`to_grid`; explicit-form journals (serve jobs submitting
-        a spec list rather than a grid) record ``{"specs": [...]}`` and
-        rebuild each :class:`~repro.api.spec.ExperimentSpec` directly.
-        """
-        if isinstance(self.grid, dict) and "specs" in self.grid:
-            from repro.api.spec import ExperimentSpec
-
-            return [
-                ExperimentSpec.from_dict(d) for d in self.grid["specs"]
-            ]
-        return self.to_grid().specs()
-
     def matches(self, specs) -> bool:
         """Whether ``specs`` (in order) are exactly the journaled cells."""
         return [cell["digest"] for cell in self.cells] == [
@@ -194,9 +183,8 @@ class SweepJournal:
         """Cells per state (always includes every known state)."""
         out = {state: 0 for state in CELL_STATES}
         for cell in self.cells:
-            out[cell.get("state", "pending")] = (
-                out.get(cell.get("state", "pending"), 0) + 1
-            )
+            state = cell.get("state", "pending")
+            out[state] = out.get(state, 0) + 1
         return out
 
     def unlanded(self) -> "list[int]":
@@ -208,54 +196,22 @@ class SweepJournal:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def mark(
-        self, digest: str, state: str, attempts: "int | None" = None
-    ) -> bool:
-        """Move one cell to ``state`` (returns whether anything changed;
-        unknown digests are ignored -- the event stream may mention
-        cells from a concurrent sweep sharing the bus)."""
-        if state not in CELL_STATES:
-            raise ValueError(f"unknown cell state {state!r}")
-        cell = self._by_digest.get(digest)
-        if cell is None:
-            return False
-        changed = cell["state"] != state
-        cell["state"] = state
-        if attempts is not None and attempts != cell.get("attempts"):
-            cell["attempts"] = attempts
-            changed = True
-        return changed
-
     def handle_event(self, event: dict) -> None:
-        """Fold one executor ``on_event`` record into cell state and
-        flush on change.  ``cell_done`` and ``cache_hit`` both mean the
-        cell's canonical result is durable (the caching layer stores
-        before the sweep reports); retries/timeouts bump the attempt
-        count; ``cell_exhausted`` marks the distributed budget spent
-        (the local merge pass will still land the cell afterwards)."""
-        if not isinstance(event, dict):
+        """Fold one executor ``on_event`` record through the journal's
+        own cell ledger and persist the cell it moved."""
+        self.record(self.ledger.handle(event))
+
+    def record(self, cell) -> None:
+        """Persist one ledger :class:`~repro.obs.progress.Cell`'s state
+        and attempts, flushing on change.  ``running`` is not durable (a
+        cell mid-attempt has no result), so the manifest keeps the last
+        durable state; digests outside the journal are ignored."""
+        entry = self._by_digest.get(cell.digest) if cell is not None else None
+        if entry is None or cell.state not in CELL_STATES:
             return
-        digest = event.get("digest")
-        if not digest:
-            return
-        etype = event.get("type")
-        if etype in ("cell_done", "cache_hit"):
-            changed = self.mark(digest, "landed")
-        elif etype == "cell_error":
-            changed = self.mark(digest, "failed")
-        elif etype in ("cell_retry", "cell_timeout"):
-            cell = self._by_digest.get(digest)
-            changed = False
-            if cell is not None and "attempt" in event:
-                changed = event["attempt"] != cell.get("attempts")
-                cell["attempts"] = event["attempt"]
-        elif etype == "cell_exhausted":
-            changed = self.mark(
-                digest, "exhausted", attempts=event.get("attempt")
-            )
-        else:
-            return
-        if changed:
+        attempts = cell.attempts or entry.get("attempts", 0)
+        if (entry["state"], entry.get("attempts")) != (cell.state, attempts):
+            entry["state"], entry["attempts"] = cell.state, attempts
             self.flush()
 
     def reconcile(self, specs) -> int:

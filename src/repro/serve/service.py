@@ -24,8 +24,10 @@ long-running daemon whose design center is *robustness*:
 * **Supervision.**  A supervisor thread relaunches dead runner threads
   (executor workers below them are already supervised by
   :class:`~repro.api.executor.ParallelExecutor`), enforces per-job
-  deadlines, and refreshes obs gauges.  After any executor crash the
-  bus is fsck'd before the next job runs.
+  deadlines, and refreshes obs gauges.  Jobs run through
+  :func:`~repro.api.run_campaign`; crash detection is typed -- when a
+  ``worker_dead`` event or cause shows a worker died (never a mere
+  raising cell), the bus is fsck'd before the next job runs.
 * **Graceful drain.**  :meth:`drain` stops admitting (``/readyz`` goes
   503), interrupts running jobs *between* cells, and re-queues them
   durably -- a drained daemon restarts exactly where it left off.
@@ -43,11 +45,12 @@ import time
 from collections import OrderedDict, deque
 from pathlib import Path
 
-from repro.api.executor import CellFailure, make_executor
+from repro.api.executor import make_executor, run_campaign
 from repro.api.result import SCHEMA_VERSION, dumps_canonical
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec
-from repro.resilience import RetryPolicy, SweepInterrupted, fsck_cache
+from repro.obs.progress import ProgressState
+from repro.resilience import RetryPolicy, fsck_cache
 from repro.serve.state import Job, JobStore, job_id_for, normalize_request
 from repro.system.machine import DEFAULT_ENGINE
 
@@ -209,18 +212,11 @@ class CampaignService:
         self._threads: list[threading.Thread] = []
         self._supervisor: "threading.Thread | None" = None
         self._runner_ids = 0
+        #: service counters (``/stats`` adds the job ledgers' tallies)
         self.counters = {
             "jobs_done": 0,
             "jobs_failed": 0,
             "jobs_cancelled": 0,
-            "cells_done": 0,
-            "records": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "cache_stale": 0,
-            "retries": 0,
-            "timeouts": 0,
-            "worker_deaths": 0,
             "rejected_busy": 0,
             "rejected_full": 0,
             "rejected_draining": 0,
@@ -230,6 +226,8 @@ class CampaignService:
             "runner_relaunches": 0,
         }
         self.recovered: dict = {"jobs": 0, "damaged": [], "fsck": None}
+        self._ledgers: dict[str, ProgressState] = {}  # running job -> ledger
+        self._cell_totals = ProgressState().tally  # finished jobs
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -471,7 +469,7 @@ class CampaignService:
                     "per_client_limit": self.per_client_limit,
                 },
                 "jobs": by_status,
-                "counters": dict(self.counters),
+                "counters": {**self.counters, **self._cell_counters_locked()},
                 "warm_pool": self.session.pool_stats(),
                 "bus": str(self.bus),
                 "recovered": dict(self.recovered),
@@ -481,6 +479,15 @@ class CampaignService:
             done / doc["uptime_seconds"], 3
         ) if doc["uptime_seconds"] > 0 else 0.0
         return doc
+
+    def _cell_counters_locked(self) -> dict:
+        """Per-cell counters summed over every job's cell ledger
+        (finished jobs plus the ones running now)."""
+        totals = dict(self._cell_totals)
+        for ledger in self._ledgers.values():
+            for name, value in ledger.tally.items():
+                totals[name] += value
+        return totals
 
     def update_registry(self) -> None:
         """Mirror live state into the obs registry (``/metrics`` and
@@ -493,7 +500,8 @@ class CampaignService:
             obs.gauge("serve.queue_depth").set(len(self._queue))
             obs.gauge("serve.jobs_running").set(len(self._active))
             obs.gauge("serve.draining").set(1 if self._draining else 0)
-            for name, value in self.counters.items():
+            counters = {**self.counters, **self._cell_counters_locked()}
+            for name, value in counters.items():
                 obs.gauge(f"serve.{name}").set(value)
             pool = self.session.pool_stats()
         obs.gauge("serve.warm_platforms").set(pool["platforms"])
@@ -534,8 +542,6 @@ class CampaignService:
                 self.before_job(job)
             except Exception:
                 pass  # instrumentation must never break a job
-        crashed = False
-
         try:
             specs = job.specs()
             journal = self.store.journal(job)
@@ -543,55 +549,36 @@ class CampaignService:
         except Exception as exc:
             self._finish_failed(job, f"{type(exc).__name__}: {exc}")
             return
-
-        def fold(event: dict) -> None:
-            nonlocal crashed
-            journal.handle_event(event)
-            etype = event.get("type")
-            with self._lock:
-                if etype == "cell_done":
-                    self.counters["cells_done"] += 1
-                    self.counters["records"] += event.get("records", 0)
-                elif etype == "cache_hit":
-                    self.counters["cache_hits"] += 1
-                elif etype == "cache_stale":
-                    self.counters["cache_stale"] += 1
-                elif etype == "cache_miss":
-                    self.counters["cache_misses"] += 1
-                elif etype == "cell_retry":
-                    self.counters["retries"] += 1
-                elif etype == "cell_timeout":
-                    self.counters["timeouts"] += 1
-                elif etype == "worker_dead":
-                    self.counters["worker_deaths"] += 1
-            if etype in ("cell_retry", "cell_exhausted", "cell_timeout"):
-                if "died" in str(event.get("error", "")):
-                    crashed = True
-            elif etype == "worker_dead":
-                crashed = True
-
         executor = make_executor(
             workers=self.workers,
             cache_dir=str(self.bus),
             retry=self.retry,
             session=self.session,
         )
+        ledger = ProgressState(total=len(specs))
+        with self._lock:
+            self._ledgers[job.id] = ledger
         t0 = time.monotonic()
         try:
-            executor.run(specs, on_event=fold, stop=stop)
-        except SweepInterrupted:
-            journal.reconcile(specs)
-            self._finish_interrupted(job)
-            return
-        except CellFailure as exc:
-            crashed = crashed or "died" in exc.reason
-            journal.reconcile(specs)
-            self._finish_failed(job, str(exc), fsck=crashed)
-            return
+            outcome = run_campaign(
+                executor, specs, journal=journal, stop=stop, ledger=ledger
+            )
         except Exception as exc:  # a broken job must not kill its runner
-            journal.reconcile(specs)
             self._finish_failed(
                 job, f"{type(exc).__name__}: {exc}", fsck=True
+            )
+            return
+        finally:
+            with self._lock:
+                del self._ledgers[job.id]
+                for name, value in ledger.tally.items():
+                    self._cell_totals[name] += value
+        if outcome.status == "interrupted":
+            self._finish_interrupted(job)
+            return
+        if outcome.status == "failed":
+            self._finish_failed(
+                job, str(outcome.failure), fsck=outcome.worker_dead
             )
             return
         job.run_seconds = round(time.monotonic() - t0, 6)
@@ -604,7 +591,7 @@ class CampaignService:
         with self._lock:
             self.counters["jobs_done"] += 1
         self.store.save(job)
-        if crashed:
+        if outcome.worker_dead:
             # the run recovered, but a worker died along the way: audit
             # the bus before the next job trusts it
             self._fsck()
