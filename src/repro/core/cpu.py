@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import weakref
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -121,6 +122,48 @@ class Thread:
             "pending_atomic": self.pending_atomic,
         }
 
+    def record(self) -> tuple:
+        """:meth:`snapshot` as a flat tuple with the registers packed
+        (the form delta checkpoints store; :meth:`snapshot_of` reads it
+        back)."""
+        return (
+            array("Q", self.regs).tobytes(),
+            self.pc,
+            self.state,
+            self.wait_reqid,
+            self.wait_rd,
+            self.stores_inflight,
+            self.retired,
+            self.trap,
+            self.pending_atomic,
+        )
+
+    @staticmethod
+    def snapshot_of(record: tuple) -> dict:
+        """The :meth:`snapshot` dict a :meth:`record` tuple encodes."""
+        (
+            regs,
+            pc,
+            state,
+            wait_reqid,
+            wait_rd,
+            stores_inflight,
+            retired,
+            trap,
+            pending_atomic,
+        ) = record
+        return {
+            "regs": array("Q", regs).tolist(),
+            "pc": pc,
+            "state": state,
+            "wait_reqid": wait_reqid,
+            "wait_rd": wait_rd,
+            "stores_inflight": stores_inflight,
+            "retired": retired,
+            "trap": trap,
+            "pending_atomic": pending_atomic,
+        }
+
     def restore(self, state: dict) -> None:
         self.regs = list(state["regs"])
         self.pc = state["pc"]
@@ -182,6 +225,12 @@ class Core:
         #: L1 indices touched since the last delta capture (None: delta
         #: tracking off); lets checkpoints skip copying the L1 arrays
         self._l1_dirty: "set[int] | None" = None
+        #: L1 entries delta captures stored sparsely since the L1 was last
+        #: stored whole (the base checkpoint counts as whole)
+        self._l1_sparse = 0
+        #: per thread, the :meth:`Thread.record` of the last delta capture
+        #: (None: delta tracking off); checkpoints store changed ones only
+        self._thread_anchor: "list[tuple] | None" = None
         #: optional machine hook ``(trapped: bool) -> None`` fired when a
         #: thread enters HALTED or TRAPPED (drives O(1) run-loop checks)
         self.on_thread_stop: "Callable[[bool], None] | None" = None
@@ -436,26 +485,77 @@ class Core:
     # Delta capture (see repro.system.snapshots)
     # ------------------------------------------------------------------
     def delta_capture_begin(self) -> None:
-        """Start tracking L1 mutations for delta checkpoints."""
+        """Start tracking L1 and thread changes for delta checkpoints."""
         self._l1_dirty = set()
+        self._l1_sparse = 0
+        self._thread_anchor = [t.record() for t in self.threads]
 
     def delta_capture_end(self) -> None:
         self._l1_dirty = None
+        self._thread_anchor = None
 
-    def delta_snapshot(self) -> dict:
-        """Changes since the last capture: thread state in full (it
-        churns every cycle), the L1 arrays as a sparse index delta."""
-        tags = self._l1_tags
-        vals = self._l1_vals
-        delta = {
-            "rr": self._rr,
-            "dropped_cpx": self.dropped_cpx,
-            "invalidations": self.invalidations,
-            "threads": [t.snapshot() for t in self.threads],
-            "l1_delta": {i: (tags[i], vals[i]) for i in self._l1_dirty},
-        }
-        self._l1_dirty = set()
-        return delta
+    def delta_snapshot(self) -> tuple:
+        """Changes since the last capture, as the flat tuple
+        ``(rr, dropped_cpx, invalidations, threads, l1)``.
+
+        ``threads`` holds one entry per thread: its :meth:`Thread.record`
+        if that differs from the previous capture, else ``None``.  ``l1``
+        is ``None`` when no L1 entry was touched, else three int arrays
+        ``(indices, tags, values)`` of the touched entries.  Once the
+        sparse entries since the L1 was last stored whole add up to the
+        L1's size, the L1 is stored whole instead, as ``(None, tags,
+        values)``: rebuilding a checkpoint then never applies more than
+        about one L1's worth of sparse entries per core.
+        """
+        anchor = self._thread_anchor
+        threads = []
+        for i, t in enumerate(self.threads):
+            rec = t.record()
+            if rec == anchor[i]:
+                threads.append(None)
+            else:
+                anchor[i] = rec
+                threads.append(rec)
+        l1 = None
+        dirty = self._l1_dirty
+        if dirty:
+            tags = self._l1_tags
+            vals = self._l1_vals
+            self._l1_sparse += len(dirty)
+            if self._l1_sparse >= self._l1_size:
+                l1 = (None, array("q", tags), array("Q", vals))
+                self._l1_sparse = 0
+            else:
+                l1 = (
+                    array("I", dirty),
+                    array("q", [tags[i] for i in dirty]),
+                    array("Q", [vals[i] for i in dirty]),
+                )
+            self._l1_dirty = set()
+        return (
+            self._rr,
+            self.dropped_cpx,
+            self.invalidations,
+            tuple(threads),
+            l1,
+        )
+
+    @staticmethod
+    def apply_l1_deltas(tags: list, vals: list, records: list) -> tuple:
+        """New L1 ``(tags, vals)`` lists: ``tags``/``vals`` overwritten by
+        the L1 records of successive :meth:`delta_snapshot` captures, in
+        order (only the first may be a whole one)."""
+        first = records[0]
+        if first[0] is None:
+            tags, vals = first[1].tolist(), first[2].tolist()
+            records = records[1:]
+        else:
+            tags, vals = list(tags), list(vals)
+        for indices, new_tags, new_vals in records:
+            for k, tag, val in zip(indices, new_tags, new_vals):
+                tags[k] = tag
+                vals[k] = val
+        return tags, vals
 
 
 # ----------------------------------------------------------------------

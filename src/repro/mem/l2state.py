@@ -10,6 +10,7 @@ SRAM arrays at co-simulation entry/exit.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro.soc.address import AddressMap, WORDS_PER_LINE
@@ -112,6 +113,65 @@ class L2BankState:
             ],
             "victim_ptr": list(self.victim_ptr),
         }
+
+    def delta_anchor(self) -> list:
+        """The line records of :meth:`snapshot`, flat in set-major order:
+        the reference :meth:`delta` diffs against."""
+        return [
+            (ln.valid, ln.dirty, ln.tag, list(ln.data), ln.directory)
+            for ways in self.lines
+            for ln in ways
+        ]
+
+    def delta(self, anchor: list) -> tuple:
+        """The state as changes against ``anchor`` (a :meth:`delta_anchor`
+        list, brought up to date in place): ``(lines, victim_ptr)``.
+
+        ``lines`` holds one flat record ``(index, valid, dirty, tag, data,
+        directory)`` per line that differs from its anchor record, with
+        ``index`` the line's position in the anchor and ``data`` the
+        packed words; ``victim_ptr`` is packed whole.  :meth:`apply_delta`
+        folds them back into a :meth:`snapshot`.
+        """
+        changed = []
+        i = 0
+        for ways in self.lines:
+            for ln in ways:
+                if (ln.valid, ln.dirty, ln.tag, ln.data, ln.directory) != anchor[i]:
+                    data = ln.data
+                    anchor[i] = (ln.valid, ln.dirty, ln.tag, list(data), ln.directory)
+                    changed.append(
+                        (
+                            i,
+                            ln.valid,
+                            ln.dirty,
+                            ln.tag,
+                            array("Q", data).tobytes(),
+                            ln.directory,
+                        )
+                    )
+                i += 1
+        return tuple(changed), array("I", self.victim_ptr)
+
+    @staticmethod
+    def apply_delta(snap: dict, lines, victim_ptr: array) -> dict:
+        """The :meth:`snapshot` that results from overwriting ``snap``'s
+        line records with ``lines`` (:meth:`delta` records, at most one
+        per index) and its victim pointers with ``victim_ptr``."""
+        folded = snap["lines"]
+        if lines:
+            ways = len(folded[0])
+            folded = [list(w) for w in folded]
+            for i, valid, dirty, tag, data, directory in lines:
+                set_idx, way = divmod(i, ways)
+                folded[set_idx][way] = (
+                    valid,
+                    dirty,
+                    tag,
+                    array("Q", data).tolist(),
+                    directory,
+                )
+        return {"lines": folded, "victim_ptr": victim_ptr.tolist()}
 
     def restore(self, state: dict) -> None:
         for set_idx, ways in enumerate(state["lines"]):

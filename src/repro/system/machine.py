@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -61,6 +62,9 @@ DEFAULT_ENGINE = "event"
 #: Wake-cycle sentinels for the active-set scheduler.
 _NEVER = 1 << 62
 _ALWAYS = -1
+
+#: Stands in for an output slot the previous delta capture did not hold.
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -207,6 +211,11 @@ class Machine:
         # -- delta-snapshot bookkeeping --------------------------------
         self._delta_tracking = False
         self._store_log_dirty: "set[int] | None" = None
+        #: what the last delta capture recorded, diffed against at the
+        #: next one (None: delta tracking off): per bank its line records
+        #: (``L2BankState.delta_anchor``), and the output channel
+        self._bank_anchors: "list[list] | None" = None
+        self._output_anchor: "dict[int, int] | None" = None
         self._dirty_banks = [True] * config.l2_banks
         self._dirty_mcus = [True] * config.mcus
         self._dirty_pcie = True
@@ -1093,6 +1102,8 @@ class Machine:
         for core in self.cores:
             core.delta_capture_begin()
         self._store_log_dirty = set()
+        self._bank_anchors = [bank.state.delta_anchor() for bank in self.l2banks]
+        self._output_anchor = dict(self.output)
         self._delta_tracking = True
         self._clear_dirty_flags()
 
@@ -1102,6 +1113,8 @@ class Machine:
         for core in self.cores:
             core.delta_capture_end()
         self._store_log_dirty = None
+        self._bank_anchors = None
+        self._output_anchor = None
         self._delta_tracking = False
 
     def _clear_dirty_flags(self) -> None:
@@ -1118,7 +1131,12 @@ class Machine:
         (the chain folds forward from the previous stored entry).  The
         reference engine cannot attribute mutations to components, so it
         conservatively treats everything as dirty -- correct, just
-        without the storage savings.
+        without the storage savings.  Within a dirty component only what
+        changed is kept: an L2 bank's changed line records
+        (:meth:`L2BankState.delta`), a core's changed thread records and
+        touched L1 entries (:meth:`Core.delta_snapshot`).  The store log
+        is packed as two int arrays ``(addresses, cycles)``, and the
+        output channel as its changed slots.
         """
         if not self._delta_tracking:
             raise RuntimeError("delta_capture_begin() was not called")
@@ -1128,24 +1146,36 @@ class Machine:
         all_dirty = self._reference
         store_dirty = self._store_log_dirty
         last_store = self.last_store_cycle
+        output_anchor = self._output_anchor
+        output = {
+            slot: value
+            for slot, value in self.output.items()
+            if output_anchor.get(slot, _MISSING) != value
+        }
+        output_anchor.update(output)
         delta = {
             "cycle": self.cycle,
             "reqid": self._reqid,
             "last_retire_cycle": self._last_retire_cycle,
             "retired_total": self.retired_total,
-            "output": dict(self.output),
+            "output": output,
             "ccx": self.ccx.snapshot(),
             "bank_ingress": [list(q) for q in self._bank_ingress],
             "mcu_ingress": [list(q) for q in self._mcu_ingress],
             "dram": self.dram.take_dirty_delta(),
-            "store_log": {a: last_store[a] for a in store_dirty},
+            "store_log": (
+                array("q", store_dirty),
+                array("q", [last_store[a] for a in store_dirty]),
+            ),
             "cores": [
                 core.delta_snapshot() if (all_dirty or core.dirty) else None
                 for core in self.cores
             ],
             "l2banks": [
-                bank.snapshot() if (all_dirty or dirty) else None
-                for bank, dirty in zip(self.l2banks, self._dirty_banks)
+                bank.delta_snapshot(anchor) if (all_dirty or dirty) else None
+                for bank, dirty, anchor in zip(
+                    self.l2banks, self._dirty_banks, self._bank_anchors
+                )
             ],
             "mcus": [
                 mcu.snapshot() if (all_dirty or dirty) else None

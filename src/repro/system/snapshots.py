@@ -7,16 +7,31 @@ time; at larger scales they dominate the platform's memory (the
 ROADMAP's "shard the golden-run snapshots" item).
 
 A :class:`SnapshotChain` stores the **first** checkpoint in full and
-every later one as a delta: the DRAM words written since the previous
-checkpoint (dirty-word tracking in :class:`repro.mem.dram.Dram`), the
-store-log entries touched, and -- via per-component dirty flags -- only
-the components whose architected state changed.  Halted cores, idle
-banks and a finished PCIe engine cost nothing per checkpoint.
+every later one as a delta of what changed since the previous one:
+
+* DRAM: the words written (dirty-word tracking in
+  :class:`repro.mem.dram.Dram`);
+* the store log: the entries touched, packed as two int arrays;
+* the output channel: the slots whose value changed;
+* components: per-component dirty flags skip the unchanged ones, so
+  halted cores, idle banks and a finished PCIe engine cost nothing.
+  Within a dirty L2 bank only the line records that differ from the
+  previous capture are kept, with packed data words
+  (:meth:`repro.mem.l2state.L2BankState.delta`); the bank's queues and
+  fill fields are kept whole.  Within a dirty core only the changed
+  thread records are kept, as flat tuples with packed registers, and
+  the touched L1 entries as int arrays -- or the whole L1, once the
+  sparse entries since its last whole copy add up to its size, which
+  bounds the work of rebuilding a checkpoint
+  (:meth:`repro.core.cpu.Core.delta_snapshot`).  MCUs, the CCX and the
+  PCIe engine are small and kept whole.
 
 The chain quacks like the ``dict[int, dict]`` it replaces (a read-only
 mapping from checkpoint cycle to a full machine snapshot); materialized
-snapshots are bit-identical to what ``Machine.snapshot()`` would have
-returned at the same cycle, which the delta-snapshot tests assert.
+snapshots are ``==`` to what ``Machine.snapshot()`` would have returned
+at the same cycle, with the same container types, which the
+delta-snapshot tests assert.  Materialized snapshots share unchanged
+parts with each other and with the base: treat them as read-only.
 
 Every capture goes through the machine's snapshot entry points, so
 stored state is always the exact architected state at a cycle boundary,
@@ -27,6 +42,9 @@ Chains captured by different engines are interchangeable.
 from __future__ import annotations
 
 from collections.abc import Mapping
+
+from repro.core.cpu import Core, Thread
+from repro.mem.l2state import L2BankState
 
 
 class SnapshotChain(Mapping):
@@ -44,6 +62,12 @@ class SnapshotChain(Mapping):
 
     Checkpoints must be taken on a monotonically advancing machine (no
     ``restore`` between checkpoints); reads are valid at any time.
+
+    Each delta holds only what changed (see the module docstring); the
+    machine diffs against per-component anchors -- the records of the
+    previous capture -- which :meth:`finalize` drops.  Reading a
+    checkpoint folds the deltas forward from the base, or from the last
+    materialized checkpoint when that one is earlier.
     """
 
     def __init__(self, machine) -> None:
@@ -172,11 +196,20 @@ class SnapshotChain(Mapping):
                 anchor_idx = memo_idx
         dram = dict(base["dram"])
         store_log = dict(base["last_store_cycle"])
-        l2banks = list(base["l2banks"])
+        output = dict(base["output"])
         mcus = list(base["mcus"])
         pcie = base["pcie"]
-        #: per-core: (latest partial record, merged L1 index overrides)
-        core_folds: list = [None] * len(base["cores"])
+        n_cores = len(base["cores"])
+        n_banks = len(base["l2banks"])
+        #: per core: latest delta record, latest record per thread (None:
+        #: unchanged since the fold's base), L1 records since the last
+        #: whole one
+        core_recs: list = [None] * n_cores
+        thread_recs: list = [None] * n_cores
+        l1s: list = [None] * n_cores
+        #: per bank: latest delta record, latest line record per index
+        bank_recs: list = [None] * n_banks
+        bank_lines: list = [None] * n_banks
         deltas = [self._deltas[c] for c in self._order[anchor_idx + 1 : idx + 1]]
         if cycle is None:
             deltas.append(self._halt)
@@ -186,51 +219,81 @@ class SnapshotChain(Mapping):
                     dram.pop(addr, None)
                 else:
                     dram[addr] = value
-            store_log.update(delta["store_log"])
+            store_log.update(zip(*delta["store_log"]))
+            output.update(delta["output"])
             for i, rec in enumerate(delta["cores"]):
                 if rec is None:
                     continue
-                fold = core_folds[i]
-                if fold is None:
-                    core_folds[i] = [rec, dict(rec["l1_delta"])]
+                core_recs[i] = rec
+                latest = thread_recs[i]
+                if latest is None:
+                    thread_recs[i] = list(rec[3])
                 else:
-                    fold[0] = rec
-                    fold[1].update(rec["l1_delta"])
-            for i, snap in enumerate(delta["l2banks"]):
-                if snap is not None:
-                    l2banks[i] = snap
+                    for j, trec in enumerate(rec[3]):
+                        if trec is not None:
+                            latest[j] = trec
+                l1 = rec[4]
+                if l1 is not None:
+                    if l1s[i] is None or l1[0] is None:
+                        l1s[i] = [l1]
+                    else:
+                        l1s[i].append(l1)
+            for i, rec in enumerate(delta["l2banks"]):
+                if rec is None:
+                    continue
+                bank_recs[i] = rec
+                lines = rec["state"][0]
+                if lines:
+                    if bank_lines[i] is None:
+                        bank_lines[i] = {}
+                    folded = bank_lines[i]
+                    for line in lines:
+                        folded[line[0]] = line
             for i, snap in enumerate(delta["mcus"]):
                 if snap is not None:
                     mcus[i] = snap
             if delta["pcie"] is not None:
                 pcie = delta["pcie"]
         cores = []
-        for i, fold in enumerate(core_folds):
+        for i, rec in enumerate(core_recs):
             base_core = base["cores"][i]
-            if fold is None:
+            if rec is None:
                 cores.append(base_core)
                 continue
-            rec, l1_overrides = fold
-            tags = list(base_core["l1_tags"])
-            vals = list(base_core["l1_vals"])
-            for l1_idx, (tag, val) in l1_overrides.items():
-                tags[l1_idx] = tag
-                vals[l1_idx] = val
+            rr, dropped_cpx, invalidations, _threads, _l1 = rec
+            tags, vals = base_core["l1_tags"], base_core["l1_vals"]
+            if l1s[i] is not None:
+                tags, vals = Core.apply_l1_deltas(tags, vals, l1s[i])
             cores.append(
                 {
-                    "rr": rec["rr"],
+                    "rr": rr,
                     "l1_tags": tags,
                     "l1_vals": vals,
-                    "dropped_cpx": rec["dropped_cpx"],
-                    "invalidations": rec["invalidations"],
-                    "threads": rec["threads"],
+                    "dropped_cpx": dropped_cpx,
+                    "invalidations": invalidations,
+                    "threads": [
+                        tsnap if trec is None else Thread.snapshot_of(trec)
+                        for tsnap, trec in zip(base_core["threads"], thread_recs[i])
+                    ],
                 }
             )
+        l2banks = []
+        for i, rec in enumerate(bank_recs):
+            base_bank = base["l2banks"][i]
+            if rec is None:
+                l2banks.append(base_bank)
+                continue
+            lines = bank_lines[i]
+            bank = dict(rec)
+            bank["state"] = L2BankState.apply_delta(
+                base_bank["state"], lines.values() if lines else (), rec["state"][1]
+            )
+            l2banks.append(bank)
         last = deltas[-1]
         return {
             "cycle": last["cycle"],
             "dram": dram,
-            "output": last["output"],
+            "output": output,
             "last_store_cycle": store_log,
             "reqid": last["reqid"],
             "last_retire_cycle": last["last_retire_cycle"],
@@ -251,23 +314,39 @@ class SnapshotChain(Mapping):
         ``dram_words_stored`` counts base words plus delta entries;
         ``dram_words_full`` is what one-full-copy-per-checkpoint costs.
         ``components_stored``/``components_total`` count per-component
-        snapshot entries actually kept vs. the full-copy count.
+        entries actually kept (dirty components) vs. the full-copy
+        count.  ``l2_lines_stored``/``l2_lines_full`` and
+        ``threads_stored``/``threads_full`` do the same for L2 line
+        records and thread records inside those entries.
         """
         if self._base is None:
-            return {
-                "checkpoints": 0,
-                "dram_words_stored": 0,
-                "dram_words_full": 0,
-                "components_stored": 0,
-                "components_total": 0,
-            }
+            return dict.fromkeys(
+                (
+                    "checkpoints",
+                    "dram_words_stored",
+                    "dram_words_full",
+                    "components_stored",
+                    "components_total",
+                    "l2_lines_stored",
+                    "l2_lines_full",
+                    "threads_stored",
+                    "threads_full",
+                ),
+                0,
+            )
         base = self._base
         per_ckpt_components = (
             len(base["cores"]) + len(base["l2banks"]) + len(base["mcus"]) + 1
         )
+        per_ckpt_lines = sum(
+            len(ways) for bank in base["l2banks"] for ways in bank["state"]["lines"]
+        )
+        per_ckpt_threads = sum(len(core["threads"]) for core in base["cores"])
         dram_stored = len(base["dram"])
         dram_full = len(base["dram"])
         components = per_ckpt_components
+        lines = per_ckpt_lines
+        threads = per_ckpt_threads
         dram_now = dict(base["dram"])
         for c in self._order[1:]:
             delta = self._deltas[c]
@@ -278,18 +357,27 @@ class SnapshotChain(Mapping):
                 else:
                     dram_now[addr] = value
             dram_full += len(dram_now)
-            components += sum(
-                1
-                for snap in (
-                    delta["cores"] + delta["l2banks"] + delta["mcus"]
-                    + [delta["pcie"]]
-                )
-                if snap is not None
+            cores = [rec for rec in delta["cores"] if rec is not None]
+            banks = [rec for rec in delta["l2banks"] if rec is not None]
+            components += (
+                len(cores)
+                + len(banks)
+                + sum(1 for snap in delta["mcus"] if snap is not None)
+                + (delta["pcie"] is not None)
             )
+            lines += sum(len(rec["state"][0]) for rec in banks)
+            threads += sum(
+                1 for rec in cores for trec in rec[3] if trec is not None
+            )
+        n = len(self._order)
         return {
-            "checkpoints": len(self._order),
+            "checkpoints": n,
             "dram_words_stored": dram_stored,
             "dram_words_full": dram_full,
             "components_stored": components,
-            "components_total": per_ckpt_components * len(self._order),
+            "components_total": per_ckpt_components * n,
+            "l2_lines_stored": lines,
+            "l2_lines_full": per_ckpt_lines * n,
+            "threads_stored": threads,
+            "threads_full": per_ckpt_threads * n,
         }

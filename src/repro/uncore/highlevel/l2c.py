@@ -321,8 +321,16 @@ class HighLevelL2Bank:
     # Snapshot
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
+        return self._snapshot(self.state.snapshot())
+
+    def delta_snapshot(self, anchor: list) -> dict:
+        """:meth:`snapshot` with the bank state as its changes against
+        ``anchor`` (see :meth:`L2BankState.delta`)."""
+        return self._snapshot(self.state.delta(anchor))
+
+    def _snapshot(self, state) -> dict:
         return {
-            "state": self.state.snapshot(),
+            "state": state,
             "queue": list(self._queue),
             "out": list(self._out),
             "waiting_fill": self._waiting_fill,

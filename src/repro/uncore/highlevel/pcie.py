@@ -46,7 +46,9 @@ class HighLevelPcieDma:
         self.dram = dram
         self.log_store = log_store
         self.rate = rate
-        self.file_words: list[int] = []
+        #: the input file, immutable: snapshots share it instead of
+        #: copying it
+        self.file_words: tuple[int, ...] = ()
         self.dest_base = 0
         self.status_addr = 0
         self.progress = 0
@@ -60,7 +62,7 @@ class HighLevelPcieDma:
         """Arm a DMA transfer of ``file_words`` into ``dest_base``."""
         if dest_base & 7 or status_addr & 7:
             raise ValueError("DMA addresses must be word aligned")
-        self.file_words = file_words
+        self.file_words = tuple(file_words)
         self.dest_base = dest_base
         self.status_addr = status_addr
         self.progress = 0
@@ -100,7 +102,7 @@ class HighLevelPcieDma:
 
     def snapshot(self) -> dict:
         return {
-            "file_words": list(self.file_words),
+            "file_words": self.file_words,
             "dest_base": self.dest_base,
             "status_addr": self.status_addr,
             "progress": self.progress,
@@ -110,7 +112,7 @@ class HighLevelPcieDma:
         }
 
     def restore(self, snap: dict) -> None:
-        self.file_words = list(snap["file_words"])
+        self.file_words = snap["file_words"]
         self.dest_base = snap["dest_base"]
         self.status_addr = snap["status_addr"]
         self.progress = snap["progress"]
