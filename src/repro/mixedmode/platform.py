@@ -7,11 +7,13 @@ executes the three phases of Fig. 2:
 
 1. *Prepare*: restore the snapshot preceding the injection cycle, run
    accelerated to the injection cycle, quiesce the target component,
-   attach the RTL target + golden pair, warm up.
-2. *Inject*: flip the chosen target flip-flop; co-simulate with periodic
-   golden comparison; stop early on Vanished; hand over to accelerated
-   mode once every remaining mismatch maps to high-level state; give up
-   (Persistent) at the co-simulation cycle cap.
+   attach the RTL target, warm up (the target alone: the golden copy
+   would be identical until the fault lands).
+2. *Inject*: fork the golden copy from the target, flip the chosen
+   target flip-flop; co-simulate with periodic golden comparison; stop
+   early on Vanished; hand over to accelerated mode once every remaining
+   mismatch maps to high-level state; give up (Persistent) at the
+   co-simulation cycle cap.
 3. *Determine outcome*: continue in accelerated mode to completion and
    classify against the golden output (ONA / OMM / UT / Hang).
 """

@@ -50,8 +50,8 @@ def compare_modules(target: "RtlModule", golden: "RtlModule") -> list[Mismatch]:
     """All storage-element differences between target and golden.
 
     Both modules must be structurally identical (same class, same
-    configuration) -- the golden copy is created by cloning the target at
-    co-simulation entry.
+    configuration) -- the golden copy is forked from the target (a fresh
+    module restored from the target's snapshot) at the injection.
     """
     mismatches: list[Mismatch] = []
     for name, reg in target.registers().items():

@@ -8,7 +8,8 @@ provides everything the mixed-mode platform needs:
 
 * flip-flop enumeration and classification (Table 3 / Table 4 totals),
 * single-bit error injection by global target-bit index,
-* full state snapshot/restore and cloning (for the golden copy),
+* full state snapshot/restore (the co-simulation adapters fork the
+  golden copy as a fresh module restored from the target's snapshot),
 * reset with configuration-register preservation (for QRR),
 * mismatch benignity hooks (the paper's co-simulation exit conditions).
 """
@@ -172,7 +173,12 @@ class RtlModule:
             sram.restore(state["sram:" + name])
 
     def clone(self) -> "RtlModule":
-        """Deep copy -- used to create the golden component at co-sim entry."""
+        """Deep copy of the module and everything it references.
+
+        Not how the co-simulation adapters fork the golden copy: a deep
+        copy would follow bound callbacks such as the L2C's ``send_mcu``
+        into the whole machine.  They restore a fresh, golden-wired
+        module from :meth:`snapshot` instead."""
         return copy.deepcopy(self)
 
     def reset_flip_flops(

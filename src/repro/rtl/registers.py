@@ -57,6 +57,7 @@ class Register:
     __slots__ = (
         "name",
         "width",
+        "mask",
         "value",
         "reset_value",
         "ff_class",
@@ -82,16 +83,14 @@ class Register:
             raise ValueError(f"register {name!r}: reset value wider than register")
         self.name = name
         self.width = width
+        #: ``(1 << width) - 1``, stored: ``width`` never changes
+        self.mask = mask
         self.reset_value = reset_value
         self.value = reset_value
         self.ff_class = ff_class
         self.functional = functional
         self.config = config
         self.timing_critical = timing_critical
-
-    @property
-    def mask(self) -> int:
-        return (1 << self.width) - 1
 
     @property
     def flip_flops(self) -> int:
@@ -143,6 +142,7 @@ class RegisterArray:
         "name",
         "entries",
         "width",
+        "mask",
         "values",
         "reset_value",
         "ff_class",
@@ -167,16 +167,13 @@ class RegisterArray:
         self.name = name
         self.entries = entries
         self.width = width
-        self.reset_value = reset_value & ((1 << width) - 1)
+        self.mask = (1 << width) - 1
+        self.reset_value = reset_value & self.mask
         self.values = [self.reset_value] * entries
         self.ff_class = ff_class
         self.functional = functional
         self.config = config
         self.timing_critical = timing_critical
-
-    @property
-    def mask(self) -> int:
-        return (1 << self.width) - 1
 
     @property
     def flip_flops(self) -> int:
@@ -236,7 +233,7 @@ class SramArray:
     (the paper's co-simulation exit condition 1).
     """
 
-    __slots__ = ("name", "entries", "width", "values", "maps_to_highlevel")
+    __slots__ = ("name", "entries", "width", "mask", "values", "maps_to_highlevel")
 
     def __init__(
         self,
@@ -250,12 +247,9 @@ class SramArray:
         self.name = name
         self.entries = entries
         self.width = width
+        self.mask = (1 << width) - 1
         self.values = [0] * entries
         self.maps_to_highlevel = maps_to_highlevel
-
-    @property
-    def mask(self) -> int:
-        return (1 << self.width) - 1
 
     def read(self, entry: int) -> int:
         return self.values[entry]

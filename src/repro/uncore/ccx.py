@@ -171,22 +171,73 @@ class CcxRtl(RtlModule):
         self._arbitrate(self._cpx_ch, False)
 
     def _arbitrate(self, ch: _Channel, route_by_addr: bool) -> None:
-        """One direction's round-robin arbiters, destination by
-        destination.  PCX routes by the latched address (its bank), CPX
-        by the latched core field.
+        """One direction's round-robin arbiters.  PCX routes by the
+        latched address (its bank), CPX by the latched core field.
 
-        A source's head is read once per tick and reused by later
+        While every non-empty FIFO has a valid head this needs no scan:
+        each head is read once and routed, each free destination takes
+        the first source routed to it in its round-robin order, and a
+        pop reads only that source's next head.  The first head found
+        with its valid bit cleared hands the rest of the tick to
+        :meth:`_arbitrate_exact`, the only path that consumes lost heads.
+        """
+        counts = ch.count.values
+        if not any(counts):
+            return  # every FIFO is empty
+        out_valid = ch.out_valid.values
+        if all(out_valid):
+            return  # every output stage is occupied: nothing can move
+        fifo_valid = ch.fifo_valid.values
+        head = ch.head.values
+        key = (ch.fifo[3] if route_by_addr else ch.fifo[1]).values
+        bank_of = self.amap.bank_of
+        routes = [-1] * PORTS  # per source: its head's destination
+        for src in range(PORTS):
+            if counts[src]:
+                slot = src * FIFO_DEPTH + head[src] % FIFO_DEPTH
+                if not fifo_valid[slot]:
+                    self._arbitrate_exact(ch, route_by_addr, 0)
+                    return
+                routes[src] = (bank_of(key[slot]) if route_by_addr else key[slot]) & 7
+        rr = ch.rr.values
+        for dest in range(PORTS):
+            if out_valid[dest] or dest not in routes:
+                continue
+            try:
+                src = routes.index(dest, rr[dest])
+            except ValueError:  # wrap around to the low sources
+                src = routes.index(dest)
+            slot = src * FIFO_DEPTH + head[src] % FIFO_DEPTH
+            out_valid[dest] = 1
+            for out_reg, fifo_reg in zip(ch.out, ch.fifo):
+                out_reg.values[dest] = fifo_reg.values[slot]
+            self._pop(ch, src)
+            rr[dest] = (src + 1) % PORTS
+            if not counts[src]:
+                routes[src] = -1
+                continue
+            slot = src * FIFO_DEPTH + head[src] % FIFO_DEPTH
+            if not fifo_valid[slot]:
+                self._arbitrate_exact(ch, route_by_addr, dest + 1)
+                return
+            routes[src] = (bank_of(key[slot]) if route_by_addr else key[slot]) & 7
+
+    def _arbitrate_exact(
+        self, ch: _Channel, route_by_addr: bool, first_dest: int
+    ) -> None:
+        """Arbitrate destinations ``first_dest`` onwards, destination by
+        destination, scanning sources in round-robin order.
+
+        A source's head is read once per call and reused by later
         destinations until that source pops.  A lost head is never
         reused: every look at it consumes one slot and counts one
         protocol error, exactly as a re-read would.
         """
-        if not any(ch.count.values):
-            return  # every FIFO is empty
         out_valid = ch.out_valid.values
         rr = ch.rr.values
         bank_of = self.amap.bank_of
         heads = [_UNREAD] * PORTS
-        for dest in range(PORTS):
+        for dest in range(first_dest, PORTS):
             if out_valid[dest]:
                 continue  # stage still occupied (not yet delivered)
             start = rr[dest]

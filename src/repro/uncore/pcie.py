@@ -27,6 +27,8 @@ Inventory matches Table 3 / Table 4: 29,022 flip-flops, 23,483 targets,
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.rtl.compare import Mismatch, MismatchKind
 from repro.rtl.module import RtlModule
 from repro.rtl.registers import FlipFlopClass
@@ -118,8 +120,9 @@ class PcieRtl(RtlModule):
         assert counts[FlipFlopClass.INACTIVE] == INACTIVE_FFS
         assert self.flip_flop_count() == TOTAL_FFS
 
-        #: host-side source data (outside the chip; not injectable state)
-        self.file_words: list[int] = []
+        #: host-side source data (outside the chip; not injectable state;
+        #: read only, so the co-simulation adapters share one tuple)
+        self.file_words: "Sequence[int]" = ()
         self.start_cycle = 0
         self.finish_cycle: "int | None" = None
         self.write_disable = False
