@@ -35,8 +35,12 @@ plain dicts as cells progress:
   "delay", "error", "cause"}`` -- an attempt failed and the cell
   re-queues after ``delay`` seconds (:class:`repro.resilience.RetryPolicy`).
 * ``{"type": "cell_timeout", "index", "digest", "label", "worker",
-  "attempt", "timeout", "cause"}`` -- a cell outlived the per-cell
-  deadline; its hosting worker process is killed and the cell re-queues.
+  "attempt", "timeout", "cause"}`` -- the kill notice: a cell outlived
+  the per-cell deadline and its hosting worker process is killed.  The
+  attempt is billed by the ``cell_retry`` (or ``cell_exhausted``) with
+  cause ``timeout`` that always follows, on every backend that
+  enforces deadlines (pool and cluster; serial has no worker process
+  to kill and ignores ``cell_timeout``).
 * ``{"type": "cell_exhausted", "index", "digest", "label", "attempt",
   "error", "cause"}`` -- a cell spent its whole attempt budget; the
   sweep finishes the remaining cells, then raises :class:`CellFailure`
@@ -44,7 +48,9 @@ plain dicts as cells progress:
 
 ``cause`` types the failure -- ``exception`` (the cell raised),
 ``worker_dead`` (its worker process died) or ``timeout`` (its deadline
-killed it) -- next to the human-readable ``error`` text.  The events
+killed it) -- next to the human-readable ``error`` text.  One
+:class:`repro.resilience.supervisor.CellSupervisor` per run bills
+attempts and emits these three events for every backend.  The events
 fold into one cell ledger, :class:`repro.obs.ProgressState`, and
 :func:`run_campaign` runs a campaign around that ledger.
 
@@ -100,6 +106,8 @@ from repro.api.session import Session
 from repro.obs.progress import ProgressState
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.shutdown import SweepInterrupted
+from repro.resilience.supervisor import CellFailure, CellSupervisor
+from repro.resilience.supervisor import cell_event as _cell_event
 
 logger = logging.getLogger(__name__)
 
@@ -108,30 +116,6 @@ OnEvent = Callable[[dict], None]
 
 #: Incremental result hook: ``(index, result)`` as each cell lands.
 OnResult = Callable[[int, ExperimentResult], None]
-
-
-class CellFailure(Exception):
-    """One cell ran out of attempts (worker crash, deadline, or raise)
-    while the rest of the sweep completed.  Naming the culprit -- index,
-    label, digest, and why -- is the point: a ten-thousand-cell sweep
-    must never die anonymously, and every *other* cell's result is
-    already durable by the time this propagates.  ``cause`` types the
-    last failure: ``exception``, ``worker_dead`` or ``timeout``."""
-
-    def __init__(
-        self, index: int, digest: str, label: str, reason: str, attempts: int,
-        cause: "str | None" = None,
-    ) -> None:
-        self.index = index
-        self.digest = digest
-        self.label = label
-        self.reason = reason
-        self.attempts = attempts
-        self.cause = cause
-        super().__init__(
-            f"cell {index} ({label}, digest {digest}) failed after "
-            f"{attempts} attempt(s): {reason}"
-        )
 
 
 @runtime_checkable
@@ -188,16 +172,6 @@ def _safe_emit(on_event: "_SafeEmitter | None", event: dict) -> None:
         on_event(event)
 
 
-def _cell_event(
-    etype: str, index: int, digest: str, label: str, **fields
-) -> dict:
-    """One per-cell event of the dialect above."""
-    return {
-        "type": etype, "index": index, "digest": digest, "label": label,
-        **fields,
-    }
-
-
 def _cell_events(spec: ExperimentSpec, index: int, total: int) -> dict:
     """The ``cell_start`` event for one cell (also the template the
     matching ``cell_done`` is built from)."""
@@ -225,8 +199,13 @@ class SerialExecutor:
     """Runs specs one after another in a single session.
 
     ``retry`` (a :class:`repro.resilience.RetryPolicy`) turns per-cell
-    exceptions into backoff-delayed re-attempts; without one a raising
-    cell propagates immediately (the historical contract).
+    exceptions into backoff-delayed re-attempts; a cell that spends its
+    budget is recorded, the other cells still run (and land through
+    ``on_result``), and the run raises the lowest-index
+    :class:`CellFailure` at the end.  Without a policy a raising cell
+    propagates immediately (the historical contract).  ``cell_timeout``
+    has no effect here: there is no worker process to kill, so a wedged
+    serial cell blocks the run.
     """
 
     def __init__(
@@ -247,67 +226,36 @@ class SerialExecutor:
     ) -> list[ExperimentResult]:
         session = self.session if self.session is not None else Session()
         specs = list(specs)
-        if (
-            on_event is None
-            and stop is None
-            and on_result is None
-            and self.retry is None
-        ):
-            return [session.run(spec) for spec in specs]
-        on_event = _emitter(on_event)
-        results = []
         total = len(specs)
-        for i, spec in enumerate(specs):
+        sup = CellSupervisor(specs, self.retry, _emitter(on_event))
+        results: "dict[int, ExperimentResult]" = {}
+        todo = list(range(total))
+        while todo or sup.waiting():
             if stop is not None and stop.is_set():
                 raise SweepInterrupted(done=len(results), total=total)
-            result = self._run_cell(session, spec, i, total, on_event)
-            if on_result is not None:
-                on_result(i, result)
-            results.append(result)
-        return results
-
-    def _run_cell(
-        self, session: Session, spec: ExperimentSpec, i: int, total: int,
-        on_event: "OnEvent | None",
-    ) -> ExperimentResult:
-        attempt = 0
-        while True:
-            start = _cell_events(spec, i, total)
-            _safe_emit(on_event, start)
+            # re-queued cells go first, once their backoff elapsed
+            todo[:0] = sup.ready(block=not todo)
+            if not todo:
+                continue
+            i = todo.pop(0)
+            start = _cell_events(specs[i], i, total)
+            sup.emit(start)
             t0, cpu0 = time.perf_counter(), time.process_time()
             try:
-                result = session.run(spec)
+                result = session.run(specs[i])
             except Exception as exc:
-                if self.retry is None:
-                    raise
-                attempt += 1
-                reason = f"{type(exc).__name__}: {exc}"
-                ids = (i, start["digest"], start["label"])
-                if self.retry.exhausted(attempt):
-                    _safe_emit(on_event, _cell_event(
-                        "cell_exhausted", *ids, attempt=attempt,
-                        error=reason, cause="exception",
-                    ))
-                    raise CellFailure(
-                        *ids, f"raised {reason}", attempt, "exception"
-                    ) from exc
-                delay = self.retry.backoff(start["digest"], attempt)
-                _safe_emit(on_event, _cell_event(
-                    "cell_retry", *ids, attempt=attempt,
-                    delay=round(delay, 6), error=reason, cause="exception",
-                ))
-                time.sleep(delay)
+                sup.fail(i, exc)
                 continue
-            _safe_emit(
-                on_event,
-                _done_event(
-                    start,
-                    time.perf_counter() - t0,
-                    time.process_time() - cpu0,
-                    len(result.records),
-                ),
-            )
-            return result
+            sup.emit(_done_event(
+                start, time.perf_counter() - t0, time.process_time() - cpu0,
+                len(result.records),
+            ))
+            sup.land(i)
+            results[i] = result
+            if on_result is not None:
+                on_result(i, result)
+        sup.raise_failures()
+        return [results[i] for i in range(total)]
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +266,7 @@ class SerialExecutor:
 _WORKER_SESSION: "Session | None" = None
 
 #: per-worker event queue (a manager proxy installed by the pool
-#: initializer when the coordinator asked for progress events)
+#: initializer)
 _WORKER_EVENT_QUEUE = None
 
 
@@ -334,67 +282,54 @@ def _init_worker_events(event_queue) -> None:
     _WORKER_EVENT_QUEUE = event_queue
 
 
-def _run_spec_dict(spec_dict: dict) -> dict:
-    """Worker entry point: dict in, dict out (always picklable)."""
-    spec = ExperimentSpec.from_dict(spec_dict)
-    return _worker_session().run(spec).to_dict()
+def _put_event(event: dict) -> None:
+    try:
+        _WORKER_EVENT_QUEUE.put(event)
+    except Exception:
+        pass
 
 
-def _run_spec_dict_ev(task: tuple) -> dict:
-    """Worker entry point with progress events (index, total, spec dict
-    in; result dict out, events to the shared queue on the side)."""
+def _run_task(task: tuple) -> dict:
+    """Worker entry point: (index, total, spec dict) in, result dict out
+    (always picklable), cell events to the shared queue on the side."""
     index, total, spec_dict = task
     spec = ExperimentSpec.from_dict(spec_dict)
-    q = _WORKER_EVENT_QUEUE
-    if q is None:
-        return _worker_session().run(spec).to_dict()
     start = _cell_events(spec, index, total)
-    try:
-        q.put(start)
-    except Exception:
-        pass
+    _put_event(start)
     t0, cpu0 = time.perf_counter(), time.process_time()
     result = _worker_session().run(spec)
-    try:
-        q.put(_done_event(
-            start, time.perf_counter() - t0, time.process_time() - cpu0,
-            len(result.records),
-        ))
-    except Exception:
-        pass
+    _put_event(_done_event(
+        start, time.perf_counter() - t0, time.process_time() - cpu0,
+        len(result.records),
+    ))
     return result.to_dict()
 
 
 class ParallelExecutor:
-    """Fans independent specs out over a process pool.
+    """Fans independent specs out over a process pool, one cell per task
+    so every failure attributes to a single cell.
 
     Args:
         workers: pool size; defaults to ``os.cpu_count()``.
-        chunksize: specs handed to a worker per dispatch on the fast
-            (no-callback, no-retry) ``pool.map`` path.  Values > 1 help
-            when consecutive specs share a platform key.  The supervised
-            path dispatches one cell per task so failures attribute to a
-            single cell.
         retry: a :class:`repro.resilience.RetryPolicy`.  With one, a
             crashed pool worker costs a bounded re-attempt of only the
             cells it was running, a hung cell is killed at the per-cell
             deadline and re-queued, and a raising cell re-runs with
-            backoff.  Without one, a crashed worker fails *the cells it
-            took down* (naming them via :class:`CellFailure`) while the
-            remaining cells still complete -- never the historical
-            anonymous ``BrokenProcessPool`` for the whole sweep.
+            backoff.  Without one, a raising cell propagates at once and
+            a crashed worker fails *the cells it took down* (naming them
+            via :class:`CellFailure`) while the remaining cells still
+            complete -- never an anonymous ``BrokenProcessPool`` for the
+            whole sweep.
     """
 
     def __init__(
         self,
         workers: "int | None" = None,
-        chunksize: int = 1,
         retry: "RetryPolicy | None" = None,
     ) -> None:
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        self.chunksize = max(1, chunksize)
         self.retry = retry
 
     def run(
@@ -405,57 +340,18 @@ class ParallelExecutor:
         stop: "threading.Event | None" = None,
         on_result: "OnResult | None" = None,
     ) -> list[ExperimentResult]:
+        import multiprocessing as mp
+
         specs = list(specs)
         if not specs:
             return []
-        if (
-            on_event is None
-            and stop is None
-            and on_result is None
-            and self.retry is None
-        ):
-            # pool.map preserves input order, so results line up with specs
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                dicts = list(
-                    pool.map(
-                        _run_spec_dict,
-                        [spec.to_dict() for spec in specs],
-                        chunksize=self.chunksize,
-                    )
-                )
-            return [ExperimentResult.from_dict(d) for d in dicts]
-        return self._run_supervised(specs, _emitter(on_event), stop, on_result)
-
-    # ------------------------------------------------------------------
-    # supervised path: per-cell futures, a cell ledger, recovery
-    # ------------------------------------------------------------------
-    def _run_supervised(
-        self,
-        specs: list,
-        on_event: "OnEvent | None",
-        stop: "threading.Event | None",
-        on_result: "OnResult | None",
-    ) -> list[ExperimentResult]:
-        import multiprocessing as mp
-
         total = len(specs)
-        # every event folds into the ledger first: its running cells
-        # (pid + start) are what deadlines and broken-pool billing act on
-        ledger = ProgressState(total=total)
-
-        def emit(event: dict) -> None:
-            ledger.handle(event)
-            _safe_emit(on_event, event)
-
-        state = {
-            "tasks": [(i, total, spec.to_dict()) for i, spec in enumerate(specs)],
-            "digests": [spec.digest() for spec in specs],
-            "labels": [spec.label() for spec in specs],
-            "results": {},   # index -> ExperimentResult
-            "failures": {},  # index -> CellFailure
-            "attempts": {i: 0 for i in range(total)},
-            "ledger": ledger,
-        }
+        # the supervisor's ledger folds every event first: its running
+        # cells (pid + start) are what deadlines and broken-pool billing
+        # act on
+        sup = CellSupervisor(specs, self.retry, _emitter(on_event))
+        tasks = [(i, total, spec.to_dict()) for i, spec in enumerate(specs)]
+        results: "dict[int, ExperimentResult]" = {}
         with mp.Manager() as manager:
             # a manager-proxy queue is picklable under every start
             # method, so it can ride in as a pool initializer argument
@@ -472,81 +368,37 @@ class ParallelExecutor:
                         continue
                     except (EOFError, OSError):
                         return  # manager went away (shutdown race)
-                    emit(event)
+                    sup.emit(event)
 
             drainer = threading.Thread(
                 target=drain, name="repro-obs-drain", daemon=True
             )
             drainer.start()
             try:
-                while True:
-                    pending = [
-                        i for i in range(total)
-                        if i not in state["results"] and i not in state["failures"]
-                    ]
-                    if not pending:
-                        break
+                todo = list(range(total))
+                while todo or sup.waiting():
                     if stop is not None and stop.is_set():
-                        raise SweepInterrupted(
-                            done=len(state["results"]), total=total
-                        )
+                        raise SweepInterrupted(done=len(results), total=total)
                     # one pool lifetime; a kill or crash inside ends it
                     # and the loop starts a fresh pool for the survivors
-                    self._one_pool(
-                        pending, state, event_queue, emit, stop, on_result
+                    todo = self._one_pool(
+                        todo, sup, tasks, event_queue, results, stop,
+                        on_result,
                     )
             finally:
                 drain_stop.set()
                 drainer.join(timeout=5.0)
-        if state["failures"]:
-            failures = state["failures"]
-            raise failures[min(failures)]
-        return [state["results"][i] for i in range(total)]
+        sup.raise_failures()
+        return [results[i] for i in range(total)]
 
     def _one_pool(
-        self, pending, state, event_queue, emit, stop, on_result
-    ) -> None:
+        self, todo, sup, tasks, event_queue, results, stop, on_result
+    ) -> "list[int]":
+        """Run ``todo`` and the supervisor's re-queued cells until every
+        cell lands or exhausts, the pool breaks, or ``stop`` drains it.
+        Returns the unbilled cells the next pool must run."""
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
-
-        retry = self.retry
-        results = state["results"]
-        failures = state["failures"]
-        attempts = state["attempts"]
-        digests, labels = state["digests"], state["labels"]
-        landed_before = len(results)
-        charged: set = set()   # cells already billed an attempt this pool
-        deferred: list = []    # (ready_at, index) waiting out a backoff
-        broken = False
-        draining = False
-
-        def cell_event(etype: str, index: int, **fields) -> None:
-            emit(_cell_event(
-                etype, index, digests[index], labels[index], **fields
-            ))
-
-        def exhaust(index: int, reason: str, cause: str) -> None:
-            failures[index] = CellFailure(
-                index, digests[index], labels[index], reason,
-                attempts[index], cause,
-            )
-            cell_event(
-                "cell_exhausted", index, attempt=attempts[index],
-                error=reason, cause=cause,
-            )
-
-        def bill(index: int, delay: float, reason: str, cause: str) -> bool:
-            """One failed attempt; returns whether the cell re-queues
-            (after ``delay``) or exhausted its budget."""
-            attempts[index] += 1
-            if retry is None or retry.exhausted(attempts[index]):
-                exhaust(index, reason, cause)
-                return False
-            cell_event(
-                "cell_retry", index, attempt=attempts[index],
-                delay=round(delay, 6), error=reason, cause=cause,
-            )
-            return True
 
         pool = ProcessPoolExecutor(
             max_workers=self.workers,
@@ -554,146 +406,83 @@ class ParallelExecutor:
             initargs=(event_queue,),
         )
         futures: dict = {}
+        outstanding: set = set()
+
+        def submit(index: int) -> None:
+            fut = pool.submit(_run_task, tasks[index])
+            futures[fut] = index
+            outstanding.add(fut)
+
+        billed, landed = sum(sup.attempts), len(results)
+        broken = draining = False
         try:
-            for i in pending:
-                futures[pool.submit(_run_spec_dict_ev, state["tasks"][i])] = i
-            outstanding = set(futures)
-            while outstanding or deferred:
+            for i in todo:
+                submit(i)
+            while outstanding or (sup.waiting() and not draining):
+                done: "set | tuple" = ()
                 if outstanding:
-                    done, outstanding = wait(
+                    done, _ = wait(
                         outstanding, timeout=0.1, return_when=FIRST_COMPLETED
                     )
-                    for fut in done:
-                        index = futures[fut]
-                        if fut.cancelled():
-                            continue
-                        exc = fut.exception()
-                        if exc is None:
-                            result = ExperimentResult.from_dict(fut.result())
-                            results[index] = result
-                            # a deadline race can bill a cell whose
-                            # result still made it out -- the result wins
-                            failures.pop(index, None)
-                            if on_result is not None:
-                                on_result(index, result)
-                        elif isinstance(exc, BrokenProcessPool):
-                            broken = True
-                        elif index in charged:
-                            pass  # already billed by the deadline enforcer
-                        elif retry is None:
-                            raise exc
-                        else:
-                            delay = retry.backoff(
-                                digests[index], attempts[index] + 1
-                            )
-                            if bill(
-                                index, delay,
-                                f"raised {type(exc).__name__}: {exc}",
-                                "exception",
-                            ):
-                                deferred.append(
-                                    (time.monotonic() + delay, index)
-                                )
-                    if broken:
-                        break
-                elif draining:
-                    break
+                    outstanding -= done
                 else:
                     time.sleep(0.05)  # everything live is in backoff
+                for fut in done:
+                    if fut.cancelled():
+                        continue
+                    index, exc = futures[fut], fut.exception()
+                    if exc is None:
+                        results[index] = ExperimentResult.from_dict(fut.result())
+                        sup.land(index)
+                        if on_result is not None:
+                            on_result(index, results[index])
+                    elif isinstance(exc, BrokenProcessPool):
+                        broken = True
+                    else:
+                        sup.fail(index, exc)
+                if broken:
+                    break
                 if stop is not None and stop.is_set() and not draining:
                     # drain: queued cells cancel, running cells finish
                     draining = True
-                    deferred.clear()
                     for fut in list(outstanding):
-                        fut.cancel()
-                    outstanding = {
-                        f for f in outstanding if not f.cancelled()
-                    }
-                if deferred and not draining:
-                    now = time.monotonic()
-                    ready = [i for (t, i) in deferred if t <= now]
-                    if ready:
-                        deferred[:] = [
-                            (t, i) for (t, i) in deferred if t > now
-                        ]
-                        for i in ready:
-                            fut = pool.submit(
-                                _run_spec_dict_ev, state["tasks"][i]
-                            )
-                            futures[fut] = i
-                            outstanding.add(fut)
-                if (
-                    retry is not None
-                    and retry.cell_timeout is not None
-                    and not broken
-                ):
-                    broken = self._enforce_deadlines(
-                        state, charged, exhaust, cell_event
-                    ) or broken
+                        if fut.cancel():
+                            outstanding.discard(fut)
+                if not draining:
+                    for i in sup.ready():
+                        submit(i)
+                # the only reliable way to stop a wedged simulation is
+                # the process boundary; the kill breaks the pool
+                for cell in sup.overdue():
+                    if cell.worker:
+                        try:
+                            os.kill(cell.worker, signal.SIGKILL)
+                        except OSError:
+                            pass
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
-        if not broken:
-            return
-        # the pool died: bill exactly the cells the ledger shows caught
-        # mid-flight.  Give the event queue a beat first so in-flight
-        # cell_start/cell_done records are folded in.
-        time.sleep(0.3)
-        suspects = sorted(
-            cell.index for cell in state["ledger"].running()
-            if cell.index not in results
-            and cell.index not in failures
-            and cell.index not in charged
-        )
-        if not suspects and not charged and len(results) == landed_before:
-            # nothing was ever attributed (a worker died during startup
-            # or before its first event escaped): without a suspect the
-            # outer loop would retry this pool forever, so every cell
-            # still pending shares the blame
-            suspects = [
-                i for i in pending if i not in results and i not in failures
-            ]
-        for index in suspects:
-            bill(index, 0.0, "its pool worker died (crash or kill)",
-                 "worker_dead")
-
-    def _enforce_deadlines(
-        self, state, charged: set, exhaust, cell_event
-    ) -> bool:
-        """Kill the worker hosting any ledger-running cell past its
-        deadline (the only reliable way to stop a wedged simulation is
-        the process boundary).  Returns whether a kill broke the pool."""
-        retry = self.retry
-        now = time.monotonic()
-        over = [
-            cell for cell in state["ledger"].running()
-            if cell.index not in charged
-            and cell.index not in state["results"]
-            and retry.over_deadline(cell.t0, now)
-        ]
-        killed = False
-        for cell in over:
-            index = cell.index
-            charged.add(index)
-            state["attempts"][index] += 1
-            cell_event(
-                "cell_timeout", index, worker=cell.worker,
-                attempt=state["attempts"][index], timeout=retry.cell_timeout,
-                cause="timeout",
+        if broken:
+            # bill exactly the cells the ledger shows caught mid-flight.
+            # Give the event queue a beat first so in-flight
+            # cell_start/cell_done records are folded in.
+            time.sleep(0.3)
+            suspects = sorted(
+                cell.index for cell in sup.ledger.running()
+                if not sup.holds(cell.index)
             )
-            if retry.exhausted(state["attempts"][index]):
-                exhaust(
-                    index,
-                    f"exceeded cell_timeout={retry.cell_timeout}s",
-                    "timeout",
-                )
-            if cell.worker:
-                try:
-                    os.kill(cell.worker, signal.SIGKILL)
-                    killed = True
-                except OSError:
-                    pass
-        return killed
+            if not suspects and (sum(sup.attempts), len(results)) == (
+                billed, landed
+            ):
+                # nothing was ever attributed (a worker died during
+                # startup or before its first event escaped): without a
+                # suspect the next pool could die the same way forever,
+                # so every unfinished cell shares the blame
+                suspects = sorted(set(futures.values()))
+            for index in suspects:
+                sup.fail(index, "its pool worker died (crash or kill)",
+                         "worker_dead")
+        return sorted({i for i in futures.values() if not sup.holds(i)})
 
 
 # ----------------------------------------------------------------------
@@ -1002,8 +791,8 @@ register_backend(
 )
 register_backend(
     "parallel",
-    lambda workers=None, chunksize=1, retry=None: ParallelExecutor(
-        workers=workers, chunksize=chunksize, retry=retry
+    lambda workers=None, retry=None: ParallelExecutor(
+        workers=workers, retry=retry
     ),
 )
 register_backend(
@@ -1016,7 +805,6 @@ register_backend(
 
 def make_executor(
     workers: int = 1,
-    chunksize: int = 1,
     cache_dir: "str | Path | None" = None,
     cluster: int = 0,
     launcher=None,
@@ -1072,9 +860,7 @@ def make_executor(
     if workers <= 1:
         executor: Executor = SerialExecutor(session, retry=retry)
     else:
-        executor = ParallelExecutor(
-            workers=workers, chunksize=chunksize, retry=retry
-        )
+        executor = ParallelExecutor(workers=workers, retry=retry)
     if cache_dir is not None:
         return CachingExecutor(cache_dir, executor)
     return executor

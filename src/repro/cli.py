@@ -251,7 +251,6 @@ def cmd_sweep(args) -> int:
     try:
         executor = make_executor(
             workers=args.workers,
-            chunksize=args.chunksize,
             cache_dir=cache_dir,
             cluster=args.cluster,
             launcher=args.launcher,
@@ -834,7 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--workers", type=int, default=1,
                    help="process-pool size; 1 runs serially")
-    p.add_argument("--chunksize", type=int, default=1)
     p.add_argument("--cluster", type=int, default=0, metavar="N",
                    help="shard the grid across N 'repro worker' agents "
                         "(overrides --workers; results stay byte-identical "
@@ -878,7 +876,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="per-cell wall-clock deadline: a cell running "
                         "longer gets its worker process killed and is "
-                        "re-queued against the retry budget")
+                        "re-queued against the retry budget (pool and "
+                        "cluster only; a serial sweep has no worker "
+                        "process to kill and ignores it)")
     p.add_argument("--heartbeat-timeout", type=float, default=None,
                    metavar="SECONDS",
                    help="(--cluster) silence beyond this declares a worker "
@@ -976,7 +976,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-timeout", type=float, default=None,
                    metavar="SECONDS",
                    help="per-cell wall-clock deadline (pool workers past "
-                        "it are killed and the cell re-queued)")
+                        "it are killed and the cell re-queued; ignored "
+                        "with --workers 1, which has no worker process "
+                        "to kill)")
     p.add_argument("--job-timeout", type=float, default=None,
                    metavar="SECONDS",
                    help="per-job deadline: a job running longer is "

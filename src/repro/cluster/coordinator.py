@@ -21,19 +21,20 @@ carefully maintained:
   dead) is computed locally -- the sweep *degrades* to serial, it never
   returns partial results.
 
-Failure handling: workers heartbeat; one that exits (crash, SIGKILL) or
-goes silent past the timeout is declared dead, its unfinished cells are
-re-queued to surviving workers with a bounded per-cell retry budget,
-and cells over budget fall through to the local merge pass.  Because a
+Failure handling: one :class:`~repro.resilience.supervisor.CellSupervisor`
+owns the policy -- attempt budget, digest-derived backoff, per-cell
+deadlines -- exactly as for the serial and pool backends.  The
+coordinator supplies only the transport.  Workers heartbeat; one that
+exits (crash, SIGKILL, failed launch) or goes silent past the timeout
+is declared dead and its unfinished cells are billed ``worker_dead``.
+A cell past ``cell_timeout`` gets its hosting worker killed -- the
+process boundary, not cooperation, ends a wedged simulation.  A cell
+that failed inside an agent arrives as a typed ``cell_error``.  Cells
+the supervisor re-queues go to the least-loaded surviving worker, and
+cells over budget fall through to the local merge pass.  Because a
 retried cell's result may already have landed (the first attempt died
 *after* the atomic rename), every retry starts with a bus lookup -- a
-straggler re-dispatch is a free cache hit, never duplicated work.
-
-With a :class:`~repro.resilience.RetryPolicy` the same machinery gains
-per-cell wall-clock deadlines (a cell running past ``cell_timeout``
-gets its hosting worker killed -- the process boundary, not
-cooperation, ends a wedged simulation -- and re-queues) and
-deterministic digest-derived backoff on every re-queue.  A ``stop``
+straggler re-dispatch is a free cache hit, never duplicated work.  A ``stop``
 event (:class:`~repro.resilience.GracefulShutdown`) drains the cluster:
 workers get SIGTERM, finish and land their in-flight cell, and the run
 raises :class:`~repro.resilience.SweepInterrupted` with everything
@@ -62,16 +63,16 @@ from repro.api.executor import (
     OnEvent,
     OnResult,
     SerialExecutor,
-    _cell_event,
     _emitter,
-    _safe_emit,
     shard_by_digest,
 )
 from repro.api.result import ExperimentResult
 from repro.api.spec import ExperimentSpec
 from repro.cluster.launchers import Launcher, LocalLauncher, parse_launcher
+from repro.obs.progress import CAUSES
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.shutdown import SweepInterrupted
+from repro.resilience.supervisor import CellSupervisor
 from repro.cluster.protocol import (
     PROTOCOL_VERSION,
     dumps_line,
@@ -109,6 +110,26 @@ class _Agent:
         self.outbox.put(None)
 
 
+class _Run:
+    """One run's coordinator state: the supervisor (attempts, backoff,
+    landings, failures) plus the transport's ``running`` map -- which
+    agent hosts which cell, the handle a deadline kills by."""
+
+    def __init__(self, specs: list, sup: CellSupervisor) -> None:
+        self.sup = sup
+        self.total = len(specs)
+        self.spec_dicts = [spec.to_dict() for spec in specs]
+        self.running: "dict[int, _Agent]" = {}
+        self.lock = threading.Lock()
+
+    def dispatch(self, agent: _Agent, indices) -> None:
+        with self.lock:
+            agent.assigned |= set(indices)
+        agent.send(shard_message(
+            [(i, self.spec_dicts[i]) for i in indices], self.total
+        ))
+
+
 class ClusterExecutor:
     """Shards a spec list across worker agents over a result bus.
 
@@ -123,24 +144,24 @@ class ClusterExecutor:
             infers a uniform ``spec.engine`` from the batch, else the
             default -- mirroring how process-pool workers fall back
             because canonical spec JSON deliberately omits the engine.
-        max_retries: re-dispatch budget per cell before it falls back
-            to the local merge pass.
+        max_retries: shorthand for a zero-backoff ``retry`` policy with
+            ``max_attempts = max_retries + 1`` (ignored when ``retry``
+            is given).
         heartbeat_interval: worker beacon period (seconds).
         heartbeat_timeout: silence beyond this marks a worker hung and
             re-queues its cells (default: ``max(15, 10 * interval)``).
-        retry: a :class:`repro.resilience.RetryPolicy` unifying the
-            re-dispatch budget (``max_attempts = max_retries + 1``),
-            deterministic backoff delays on re-queue, and a per-cell
-            wall-clock deadline -- a cell running past
+        retry: a :class:`repro.resilience.RetryPolicy`: the re-dispatch
+            budget, deterministic backoff delays on re-queue, and a
+            per-cell wall-clock deadline -- a cell running past
             ``retry.cell_timeout`` gets its hosting worker killed (the
             process boundary is the only reliable way to stop a wedged
-            simulation) and re-queues with the usual budget.
+            simulation) and re-queues with the usual budget.  A cell
+            that spends its budget falls through to the local merge.
         worker_procs: sub-process pool size *inside* each worker agent
             (``repro worker --workers N``): the agent runs its shard
-            through a supervised :class:`ParallelExecutor` against the
-            bus instead of serially, multiplying fan-out to
-            ``workers x worker_procs`` processes.  1 keeps the classic
-            serial agent.
+            through a :class:`ParallelExecutor` against the bus instead
+            of serially, multiplying fan-out to ``workers x
+            worker_procs`` processes.  1 keeps the serial agent.
     """
 
     def __init__(
@@ -165,9 +186,9 @@ class ClusterExecutor:
         self.launcher = parse_launcher(launcher)
         self.cache_dir = cache_dir
         self.engine = engine
-        self.retry = retry
-        self.max_retries = (
-            retry.max_attempts - 1 if retry is not None else max_retries
+        self.retry = (
+            retry if retry is not None
+            else RetryPolicy(max_attempts=max_retries + 1, backoff_base=0.0)
         )
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = (
@@ -180,11 +201,6 @@ class ClusterExecutor:
         self.last_requeued = 0
         self.last_fallback = 0
         self.last_timeouts = 0
-        # per-run working state (set by _run_distributed)
-        self._spec_dict_cache: "list[dict]" = []
-        self._digest_cache: "list[str]" = []
-        self._label_cache: "list[str]" = []
-        self._emit_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def run(
@@ -198,7 +214,7 @@ class ClusterExecutor:
         specs = list(specs)
         if not specs:
             return []
-        emit = _emitter(on_event)
+        run = _Run(specs, CellSupervisor(specs, self.retry, _emitter(on_event)))
         self.last_worker_deaths = 0
         self.last_requeued = 0
         self.last_fallback = 0
@@ -210,12 +226,14 @@ class ClusterExecutor:
             else Path(self.cache_dir)
         )
         try:
-            landed = self._run_distributed(specs, bus, emit, stop)
+            self._run_distributed(specs, bus, run, stop)
             if stop is not None and stop.is_set():
                 # drained: every in-flight cell finished and landed;
                 # skipping the merge keeps the exit fast and resumable
-                raise SweepInterrupted(done=len(landed), total=len(specs))
-            return self._merge(specs, bus, landed, emit, stop, on_result)
+                raise SweepInterrupted(
+                    done=len(run.sup.landed), total=len(specs)
+                )
+            return self._merge(specs, bus, run.sup, stop, on_result)
         finally:
             if owns_bus:
                 shutil.rmtree(bus, ignore_errors=True)
@@ -249,51 +267,20 @@ class ClusterExecutor:
             return engines.pop()
         return None
 
-    def _run_distributed(
-        self, specs: list, bus: Path, emit, stop=None
-    ) -> set[int]:
+    def _run_distributed(self, specs: list, bus: Path, run: _Run, stop) -> None:
         from repro import obs
 
-        total = len(specs)
-        st: dict = {
-            "lock": threading.Lock(),
-            "landed": set(),     # indices with durable bus results
-            "retries": {},       # index -> requeue count
-            "abandoned": set(),  # budget spent; merge computes locally
-            "pending": [],       # (ready_at, index, spec_dict) backoffs
-            "running": {},       # index -> (agent, started_monotonic)
-        }
+        sup = run.sup
         engine = self._batch_engine(specs)
-        spec_dicts = [spec.to_dict() for spec in specs]
-        self._spec_dict_cache = spec_dicts
-        self._digest_cache = [spec.digest() for spec in specs]
-        self._label_cache = [spec.label() for spec in specs]
-
-        shards = shard_by_digest(specs, self.workers)
         agents: list[_Agent] = []
-        for wid, shard in enumerate(shards):
+        for wid, shard in enumerate(shard_by_digest(specs, self.workers)):
             agent = self._launch(wid, bus, engine)
             agents.append(agent)
-            self._start_io(agent, st, emit)
-            if not agent.dead and shard:
-                cells = [(index, spec_dicts[index]) for index, _ in shard]
-                with st["lock"]:
-                    agent.assigned |= {index for index, _ in shard}
-                agent.send(shard_message(cells, total))
-
-        obs.gauge("cluster.workers_alive").set(
-            sum(1 for a in agents if not a.dead)
-        )
-        lock = st["lock"]
-        landed, abandoned, pending = (
-            st["landed"], st["abandoned"], st["pending"],
-        )
+            self._start_io(agent, run)
+            if shard:
+                run.dispatch(agent, [index for index, _ in shard])
         try:
-            while True:
-                with lock:
-                    outstanding = total - len(landed) - len(abandoned)
-                    if outstanding <= 0:
-                        break
+            while len(sup.landed) + len(sup.failures) < run.total:
                 if stop is not None and stop.is_set():
                     # graceful drain: SIGTERM asks each worker to stop
                     # *between* cells -- in-flight cells finish and land
@@ -314,53 +301,20 @@ class ClusterExecutor:
                         now - agent.last_seen > self.heartbeat_timeout
                     ) or not agent.protocol_ok
                     if exited or hung:
-                        self._declare_dead(agent, st, emit, kill=not exited)
-                        obs.gauge("cluster.workers_alive").set(
-                            sum(1 for a in agents if not a.dead)
-                        )
-                if (
-                    self.retry is not None
-                    and self.retry.cell_timeout is not None
-                ):
-                    if self._enforce_deadlines(st, emit):
-                        obs.gauge("cluster.workers_alive").set(
-                            sum(1 for a in agents if not a.dead)
-                        )
+                        self._declare_dead(agent, run, kill=not exited)
+                self._enforce_deadlines(run)
                 alive = [a for a in agents if not a.dead]
-                with lock:
-                    now = time.monotonic()
-                    requeue = [(i, d) for (t, i, d) in pending if t <= now]
-                    if alive:
-                        pending[:] = [
-                            (t, i, d) for (t, i, d) in pending if t > now
-                        ]
-                    else:
-                        # backoff delays are moot with nobody to run them
-                        requeue += [(i, d) for (t, i, d) in pending if t > now]
-                        pending[:] = []
-                if requeue:
-                    if alive:
-                        target = min(alive, key=lambda a: len(a.assigned))
-                        with lock:
-                            target.assigned |= {i for i, _ in requeue}
-                        target.send(shard_message(requeue, total))
-                    else:
-                        # nobody left to run them: the merge pass will
-                        with lock:
-                            abandoned.update(i for i, _ in requeue)
-                        continue
+                obs.gauge("cluster.workers_alive").set(len(alive))
                 if not alive:
-                    with lock:
-                        remaining = (
-                            set(range(total)) - landed - abandoned
-                        )
-                        abandoned |= remaining
-                    break
+                    break  # nobody left: the merge pass computes the rest
+                requeue = sup.ready()
+                if requeue:
+                    run.dispatch(
+                        min(alive, key=lambda a: len(a.assigned)), requeue
+                    )
                 time.sleep(0.05)
         finally:
             self._shutdown(agents)
-        with lock:
-            return set(landed)
 
     def _launch(self, wid: int, bus: Path, engine: "str | None") -> _Agent:
         try:
@@ -371,17 +325,15 @@ class ClusterExecutor:
             from repro.api.executor import logger
 
             logger.warning("cluster worker %d failed to launch: %s", wid, exc)
-            agent = _Agent(wid, _DeadProc())
-            agent.dead = True
-            return agent
+            proc = _DeadProc()  # the health loop declares it dead
         return _Agent(wid, proc)
 
-    def _start_io(self, agent, st, emit) -> None:
-        if agent.dead:
+    def _start_io(self, agent: _Agent, run: _Run) -> None:
+        if isinstance(agent.proc, _DeadProc):
             return
         agent.reader = threading.Thread(
             target=self._read_loop,
-            args=(agent, st, emit),
+            args=(agent, run),
             name=f"repro-cluster-read-{agent.wid}",
             daemon=True,
         )
@@ -410,22 +362,22 @@ class ClusterExecutor:
         except (OSError, ValueError):
             pass
 
-    def _read_loop(self, agent, st, emit) -> None:
+    def _read_loop(self, agent: _Agent, run: _Run) -> None:
         try:
             for line in agent.proc.stdout:
                 message = parse_line(line)
                 if message is None:
                     continue
                 agent.last_seen = time.monotonic()
-                self._handle(agent, message, st, emit)
+                self._handle(agent, message, run)
         except (OSError, ValueError):
             pass  # stream torn down mid-read (kill/shutdown race)
 
-    def _handle(self, agent, message, st, emit) -> None:
+    def _handle(self, agent: _Agent, message: dict, run: _Run) -> None:
         from repro import obs
         from repro.api.executor import logger
 
-        lock = st["lock"]
+        sup = run.sup
         mtype = message.get("type")
         if mtype == "event":
             event = message.get("event")
@@ -435,44 +387,42 @@ class ClusterExecutor:
                 etype = event.get("type")
                 index = event.get("index")
                 if isinstance(index, int):
-                    if etype == "cell_start":
-                        with lock:
-                            st["running"][index] = (agent, time.monotonic())
-                    elif etype in ("cell_done", "cache_hit"):
-                        with lock:
-                            st["running"].pop(index, None)
-                self._forward(emit, event)
+                    with run.lock:
+                        if etype == "cell_start":
+                            run.running[index] = agent
+                        elif etype in ("cell_done", "cache_hit"):
+                            run.running.pop(index, None)
+                sup.emit(event)
         elif mtype == "cell_result":
             index = message.get("index")
-            with lock:
+            with run.lock:
                 if isinstance(index, int):
-                    st["landed"].add(index)
-                    st["running"].pop(index, None)
+                    sup.land(index)
+                    run.running.pop(index, None)
                 agent.assigned.discard(index)
         elif mtype == "heartbeat":
-            self._forward(
-                emit,
+            sup.emit(
                 {
                     "type": "worker_heartbeat",
                     "worker": message.get("pid"),
                     "rss_kb": message.get("rss_kb", 0),
                     "t": message.get("t"),
-                },
+                }
             )
         elif mtype == "cell_error":
             index = message.get("index")
+            cause = message.get("cause")
             logger.warning(
-                "cluster worker %d failed cell %s: %s",
-                agent.wid, index, message.get("error"),
+                "cluster worker %d failed cell %s (%s): %s",
+                agent.wid, index, cause, message.get("error"),
             )
             if isinstance(index, int):
-                with lock:
+                with run.lock:
                     agent.assigned.discard(index)
-                    st["running"].pop(index, None)
-                    self._requeue_locked(
-                        [index], st, emit,
-                        reason=str(message.get("error", "cell_error")),
-                        cause="exception",
+                    run.running.pop(index, None)
+                    self._bill(
+                        run, [index], str(message.get("error", "cell_error")),
+                        cause if cause in CAUSES else "exception",
                     )
         elif mtype == "ready":
             agent.pid = message.get("pid", agent.pid)
@@ -492,102 +442,35 @@ class ClusterExecutor:
         # unknown message types are ignored: newer workers may gain
         # advisory messages without breaking older coordinators
 
-    def _forward(self, emit, event: dict) -> None:
-        # reader threads are per-worker; serialize delivery so on_event
-        # consumers (progress state, trace writers) never interleave
-        with self._emit_lock:
-            _safe_emit(emit, event)
-
-    def _cell_event(self, etype: str, index: int, **fields) -> dict:
-        return _cell_event(
-            etype, index, self._digest_cache[index],
-            self._label_cache[index], **fields,
-        )
-
-    def _requeue_locked(
-        self, indices, st, emit, reason: str = "worker died",
-        cause: str = "worker_dead", timed_out=(),
-    ) -> int:
-        """Re-queue cells (caller holds the state lock); returns how
-        many still had retry budget.  Re-queues carry a deterministic
-        backoff delay when a :class:`RetryPolicy` is set, and each
-        transition streams as ``cell_retry`` / ``cell_exhausted`` with
-        its typed ``cause`` (``timeout`` for the cells in
-        ``timed_out``)."""
+    def _bill(self, run: _Run, indices, reason: str, cause: str) -> None:
+        """Bill one failed attempt per cell (caller holds the run lock);
+        the supervisor re-queues or exhausts each."""
         from repro import obs
 
-        retries = st["retries"]
-        requeued = 0
-        for index in indices:
-            retries[index] = retries.get(index, 0) + 1
-            attempt = retries[index]
-            why = "timeout" if index in timed_out else cause
-            if attempt > self.max_retries:
-                st["abandoned"].add(index)
-                self._forward(emit, self._cell_event(
-                    "cell_exhausted", index, attempt=attempt, error=reason,
-                    cause=why,
-                ))
-            else:
-                delay = (
-                    self.retry.backoff(self._digest_cache[index], attempt)
-                    if self.retry is not None
-                    else 0.0
-                )
-                st["pending"].append(
-                    (
-                        time.monotonic() + delay,
-                        index,
-                        self._spec_dict_cache[index],
-                    )
-                )
-                self._forward(emit, self._cell_event(
-                    "cell_retry", index, attempt=attempt,
-                    delay=round(delay, 6), error=reason, cause=why,
-                ))
-                requeued += 1
+        requeued = sum(run.sup.fail(index, reason, cause) for index in indices)
         if requeued:
             self.last_requeued += requeued
             obs.counter("cluster.cells_requeued").inc(requeued)
-        return requeued
 
-    def _enforce_deadlines(self, st, emit) -> bool:
-        """Kill the worker hosting any cell past ``retry.cell_timeout``
-        (SIGKILL works on SIGSTOPped processes too, so a *frozen* worker
-        cannot dodge the deadline); its cells re-queue through the
-        normal dead-worker path.  Returns whether anyone died."""
+    def _enforce_deadlines(self, run: _Run) -> None:
+        """Kill the agent hosting any overdue cell (SIGKILL works on
+        SIGSTOPped processes too, so a *frozen* worker cannot dodge the
+        deadline).  The supervisor already billed the overdue cells; the
+        agent's other cells re-queue through the dead-worker path."""
         from repro import obs
 
-        timeout = self.retry.cell_timeout
-        now = time.monotonic()
-        with st["lock"]:
-            over = [
-                (index, agent)
-                for index, (agent, t0) in st["running"].items()
-                if now - t0 > timeout and index not in st["landed"]
-            ]
-        doomed: list = []
-        timed_out: set = set()
-        for index, agent in over:
-            if agent.dead:
-                continue
-            self.last_timeouts += 1
-            obs.counter("cluster.cell_timeouts").inc()
-            self._forward(emit, self._cell_event(
-                "cell_timeout", index, worker=agent.pid,
-                attempt=st["retries"].get(index, 0) + 1, timeout=timeout,
-                cause="timeout",
-            ))
-            with st["lock"]:
-                st["running"].pop(index, None)
-            timed_out.add(index)
-            if agent not in doomed:
-                doomed.append(agent)
-        for agent in doomed:
-            self._declare_dead(agent, st, emit, kill=True, timed_out=timed_out)
-        return bool(doomed)
+        over = run.sup.overdue()
+        if not over:
+            return
+        self.last_timeouts += len(over)
+        obs.counter("cluster.cell_timeouts").inc(len(over))
+        with run.lock:
+            doomed = [run.running.pop(cell.index, None) for cell in over]
+        for agent in dict.fromkeys(doomed):
+            if agent is not None and not agent.dead:
+                self._declare_dead(agent, run, kill=True)
 
-    def _declare_dead(self, agent, st, emit, kill: bool, timed_out=()) -> None:
+    def _declare_dead(self, agent: _Agent, run: _Run, kill: bool) -> None:
         from repro import obs
         from repro.api.executor import logger
 
@@ -597,14 +480,12 @@ class ClusterExecutor:
                 agent.proc.kill()
             except OSError:
                 pass
-        with st["lock"]:
-            lost = sorted(agent.assigned - st["landed"])
+        with run.lock:
+            lost = sorted(agent.assigned - run.sup.landed)
             agent.assigned.clear()
-            for index in [
-                i for i, (a, _) in st["running"].items() if a is agent
-            ]:
-                st["running"].pop(index, None)
-            self._requeue_locked(lost, st, emit, timed_out=timed_out)
+            for index in [i for i, a in run.running.items() if a is agent]:
+                del run.running[index]
+            self._bill(run, lost, "worker died", "worker_dead")
         self.last_worker_deaths += 1
         obs.counter("cluster.worker_deaths").inc()
         logger.warning(
@@ -612,13 +493,12 @@ class ClusterExecutor:
             "cells", agent.wid, agent.pid,
             " (heartbeat timeout)" if kill else "", len(lost),
         )
-        self._forward(
-            emit,
+        run.sup.emit(
             {
                 "type": "worker_dead",
                 "worker": agent.pid,
                 "requeued": lost,
-            },
+            }
         )
 
     def _shutdown(self, agents: list) -> None:
@@ -648,7 +528,7 @@ class ClusterExecutor:
     # merge phase
     # ------------------------------------------------------------------
     def _merge(
-        self, specs: list, bus: Path, landed: set, emit,
+        self, specs: list, bus: Path, sup: CellSupervisor,
         stop=None, on_result=None,
     ) -> list[ExperimentResult]:
         """Collect results from the bus in spec order.
@@ -662,21 +542,19 @@ class ClusterExecutor:
         """
         from repro import obs
 
-        fallback = {i for i in range(len(specs)) if i not in landed}
+        fallback = {i for i in range(len(specs)) if i not in sup.landed}
         self.last_fallback = len(fallback)
         if fallback:
             obs.counter("cluster.cells_fallback").inc(len(fallback))
-        merge_emit = None
-        if emit is not None and fallback:
-            def merge_emit(event: dict) -> None:
-                if event.get("index") in fallback:
-                    emit(event)
+
+        def merge_emit(event: dict) -> None:
+            if event.get("index") in fallback:
+                sup.emit(event)
 
         merged = CachingExecutor(bus, SerialExecutor(retry=self.retry))
-        results = merged.run(
+        return merged.run(
             specs, on_event=merge_emit, stop=stop, on_result=on_result
         )
-        return results
 
 
 class _DeadProc:

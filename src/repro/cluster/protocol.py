@@ -38,8 +38,12 @@ Worker -> coordinator
   one coherent stream across all workers.
 * ``{"type": "cell_result", "index", "digest"}`` -- the cell's result
   is durably in the bus (sent strictly *after* the atomic rename).
-* ``{"type": "cell_error", "index", "error"}`` -- the cell raised; the
-  coordinator re-queues it (bounded) or computes it locally.
+* ``{"type": "cell_error", "index", "error", "cause"}`` -- the cell's
+  one attempt in the agent failed; ``cause`` is typed like the
+  executor resilience events (``exception``: it raised;
+  ``worker_dead``: the agent's pool worker running it died).  The
+  coordinator bills it with that cause and re-queues it (bounded) or
+  computes it locally.
 * ``{"type": "shard_done", "count"}`` -- a shard message was fully
   processed.
 * ``{"type": "error", "message"}`` -- protocol-level complaint
@@ -54,8 +58,8 @@ import threading
 #: Bump when the wire protocol changes incompatibly.  The worker sends
 #: its version in the ready handshake and the coordinator refuses
 #: mismatches, so a version skew across hosts fails loudly instead of
-#: corrupting a sweep.
-PROTOCOL_VERSION = 1
+#: corrupting a sweep.  Version 2 added ``cause`` to ``cell_error``.
+PROTOCOL_VERSION = 2
 
 
 def dumps_line(message: dict) -> str:

@@ -2,33 +2,34 @@
 
 One worker process owns one :class:`~repro.api.session.Session` (so
 cells sharing a platform key amortize their golden run, exactly like a
-process-pool worker) and loops over protocol messages on stdin:
+process-pool worker) and loops over protocol messages on stdin.  Every
+shard runs through the same executor stack a local sweep uses:
+``CachingExecutor(bus, make_executor(workers=N, session=session,
+retry=RetryPolicy(max_attempts=1)))`` -- serial for ``repro worker``,
+a process pool of ``N`` for ``repro worker --workers N`` (``workers x
+worker_procs`` total fan-out under one coordinator).
 
-* For each cell of a shard it first consults the shared result bus --
-  a prior sweep, a peer, or an earlier attempt of a re-dispatched cell
-  may already have landed the digest, making the cell a free cache hit.
-* Misses run through the session and are published with the atomic
-  unique-temp rename of :func:`repro.api.executor.store_cached_result`;
-  ``cell_result`` is sent strictly *after* the rename, so the
+* The caching layer consults the shared result bus first -- a prior
+  sweep, a peer, or an earlier attempt of a re-dispatched cell may
+  already have landed the digest, making the cell a free cache hit.
+* Misses run and are published with the atomic unique-temp rename of
+  :func:`repro.api.executor.store_cached_result`; ``cell_result`` is
+  sent strictly *after* the rename (the caching layer's ``on_result``
+  fires after it; a bus hit is durable by definition), so the
   coordinator only ever counts durable results as landed.
 * Executor telemetry (``cell_start``/``cell_done``/``cache_*``, the
   shapes every backend emits) is forwarded as ``event`` messages with
   the cell's grid index, and a daemon thread heartbeats liveness + RSS.
 
-A cell that raises reports ``cell_error`` and the worker moves on; the
-coordinator decides whether to retry elsewhere or compute it locally.
-The agent exits on ``shutdown`` or EOF (coordinator death), never
-killing the host it runs on.
-
-``repro worker --workers N`` upgrades the agent from a serial loop to
-a supervised :class:`~repro.api.executor.ParallelExecutor` pool against
-the same bus (``workers x worker_procs`` total fan-out under one
-coordinator).  The protocol contract is unchanged: ``cell_result`` is
-sent strictly after a result is durable (the caching layer's
-``on_result`` fires after the atomic rename; a bus hit is durable by
-definition), and every cell of a shard is acknowledged with
-``cell_result`` or ``cell_error`` unless the agent is draining -- the
-coordinator's monitor loop counts on exactly that to terminate.  Like
+Each cell gets one attempt inside the agent: only the coordinator
+bills.  A cell the inner executor gives up on (its ``cell_exhausted``)
+becomes ``cell_error`` with the typed ``cause`` (``exception`` or, for
+a killed pool worker, ``worker_dead``); the inner ``cell_retry``/
+``cell_timeout``/``cell_exhausted`` events are never forwarded.  Every
+cell of a shard is acknowledged with ``cell_result`` or ``cell_error``
+unless the agent is draining -- the coordinator's monitor loop counts
+on exactly that to terminate.  The agent exits on ``shutdown`` or EOF
+(coordinator death), never killing the host it runs on.  Like
 process-pool sweeps, pool workers fall back to the default engine
 (canonical spec JSON deliberately omits it; engines are digest-neutral
 so results are unaffected).
@@ -41,14 +42,9 @@ import signal
 import sys
 import threading
 import time
+from pathlib import Path
 
-from repro.api.executor import (
-    _cell_events,
-    _done_event,
-    load_cached_result,
-    result_cache_path,
-    store_cached_result,
-)
+from repro.api.executor import CachingExecutor, make_executor
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec
 from repro.cluster.protocol import (
@@ -56,9 +52,12 @@ from repro.cluster.protocol import (
     LineChannel,
     parse_line,
 )
+from repro.resilience import RetryPolicy, SweepInterrupted
 from repro.system.machine import DEFAULT_ENGINE
 
-from pathlib import Path
+#: inner executor events the agent keeps to itself: billing is the
+#: coordinator's job
+_NOT_FORWARDED = ("cell_retry", "cell_timeout", "cell_exhausted")
 
 
 def _heartbeat_loop(channel: LineChannel, stop: threading.Event, interval: float) -> None:
@@ -79,126 +78,23 @@ def _heartbeat_loop(channel: LineChannel, stop: threading.Event, interval: float
             # will see EOF on stdin and exit
 
 
-def _run_cell(
+def _land_shard(
     session: Session,
-    cache_dir: Path,
-    spec: ExperimentSpec,
-    index: int,
-    total: int,
-    emit,
-) -> str:
-    """Resolve one cell against the bus (hit) or the session (miss).
-
-    Returns the spec digest once the result is durable in the bus.
-    Event shapes mirror :class:`~repro.api.executor.CachingExecutor` and
-    the serial executor exactly -- a cluster sweep's stream is the same
-    dialect every other backend speaks.
-    """
-    path = result_cache_path(cache_dir, spec)
-    digest = spec.digest()
-    cached, stale = load_cached_result(path, spec)
-    if cached is not None:
-        emit(
-            {
-                "type": "cache_hit",
-                "index": index,
-                "total": total,
-                "digest": digest,
-                "label": spec.label(),
-            }
-        )
-        return digest
-    if stale:
-        emit(
-            {
-                "type": "cache_stale",
-                "index": index,
-                "digest": digest,
-                "label": spec.label(),
-            }
-        )
-    emit(
-        {
-            "type": "cache_miss",
-            "index": index,
-            "digest": digest,
-            "label": spec.label(),
-        }
-    )
-    start = _cell_events(spec, index, total)
-    emit(start)
-    t0, cpu0 = time.perf_counter(), time.process_time()
-    result = session.run(spec)
-    done = _done_event(
-        start,
-        time.perf_counter() - t0,
-        time.process_time() - cpu0,
-        len(result.records),
-    )
-    store_cached_result(path, result)
-    emit(done)
-    return digest
-
-
-def _run_shard(
-    session: Session,
-    cache_dir: Path,
-    cells,
-    channel: LineChannel,
-    drain: "threading.Event | None" = None,
-) -> None:
-    def emit(event: dict) -> None:
-        channel.send({"type": "event", "event": event})
-
-    landed = 0
-    for cell in cells:
-        if drain is not None and drain.is_set():
-            # graceful shutdown: stop *between* cells; everything
-            # already run is durable on the bus and reported
-            break
-        index = cell.get("index", -1)
-        total = cell.get("total", 0)
-        try:
-            spec = ExperimentSpec.from_dict(cell["spec"])
-            digest = _run_cell(session, cache_dir, spec, index, total, emit)
-        except Exception as exc:  # a broken cell must not kill the shard
-            channel.send(
-                {
-                    "type": "cell_error",
-                    "index": index,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
-            continue
-        channel.send({"type": "cell_result", "index": index, "digest": digest})
-        landed += 1
-    channel.send({"type": "shard_done", "count": landed})
-
-
-def _run_shard_pooled(
     cache_dir: Path,
     cells,
     channel: LineChannel,
     workers: int,
-    drain: "threading.Event | None" = None,
+    drain: threading.Event,
 ) -> None:
-    """Run one shard through a supervised process pool against the bus.
+    """Run one shard against the bus and acknowledge every cell.
 
     Coordinates are remapped shard-position -> grid index before any
-    message leaves the agent, so the coordinator sees the exact dialect
-    the serial loop speaks.  The hard invariant is the ack sweep at the
-    end: every cell must report ``cell_result`` (durable) or
+    message leaves the agent.  The hard invariant is the ack sweep at
+    the end: every cell must report ``cell_result`` (durable) or
     ``cell_error`` (re-queueable) -- a silently dropped cell would spin
     the coordinator's monitor loop forever.  Draining is the one
     exception; the coordinator is draining too and EOF-requeues.
     """
-    from repro.api.executor import (
-        CachingExecutor,
-        CellFailure,
-        ParallelExecutor,
-    )
-    from repro.resilience import RetryPolicy, SweepInterrupted
-
     specs: list[ExperimentSpec] = []
     grid_index: list[int] = []
     grid_total = 0
@@ -207,82 +103,68 @@ def _run_shard_pooled(
         try:
             spec = ExperimentSpec.from_dict(cell["spec"])
         except Exception as exc:  # malformed cell: report, keep the shard
-            channel.send(
-                {
-                    "type": "cell_error",
-                    "index": index,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
+            channel.send({
+                "type": "cell_error", "index": index,
+                "error": f"{type(exc).__name__}: {exc}", "cause": "exception",
+            })
             continue
         specs.append(spec)
         grid_index.append(index)
         grid_total = max(grid_total, cell.get("total", 0))
-    acked: set[int] = set()  # positions in the shard's spec list
+    acked: dict[int, str] = {}  # shard position -> ack message type
     ack_lock = threading.Lock()
 
-    def ack(pos: int, digest: str) -> None:
+    def ack(pos: int, message: dict) -> None:
         with ack_lock:
             if pos in acked:
                 return
-            acked.add(pos)
-        channel.send(
-            {"type": "cell_result", "index": grid_index[pos], "digest": digest}
-        )
+            acked[pos] = message["type"]
+        channel.send({**message, "index": grid_index[pos]})
 
     def emit(event: dict) -> None:
         pos = event.get("index")
-        mapped = event
-        if isinstance(pos, int) and 0 <= pos < len(grid_index):
-            mapped = {**event, "index": grid_index[pos]}
-            if "total" in mapped:
-                mapped["total"] = grid_total
+        if not (isinstance(pos, int) and 0 <= pos < len(grid_index)):
+            return
+        etype = event.get("type")
+        if etype == "cell_exhausted":
+            ack(pos, {
+                "type": "cell_error", "error": event.get("error"),
+                "cause": event.get("cause", "exception"),
+            })
+        if etype in _NOT_FORWARDED:
+            return
+        mapped = {**event, "index": grid_index[pos]}
+        if "total" in mapped:
+            mapped["total"] = grid_total
         channel.send({"type": "event", "event": mapped})
-        if (
-            mapped.get("type") == "cache_hit"
-            and isinstance(pos, int)
-            and 0 <= pos < len(grid_index)
-        ):
-            # a bus hit is durable by definition
-            ack(pos, mapped.get("digest", specs[pos].digest()))
+        if etype == "cache_hit":  # a bus hit is durable by definition
+            ack(pos, {"type": "cell_result", "digest": mapped["digest"]})
 
     def on_result(pos: int, _result) -> None:
         # the caching layer calls this strictly after the atomic rename
-        ack(pos, specs[pos].digest())
+        ack(pos, {"type": "cell_result", "digest": specs[pos].digest()})
 
     executor = CachingExecutor(
         cache_dir,
-        # one attempt per cell inside the agent: re-dispatch budget and
-        # deadlines belong to the coordinator, which sees every failure
-        ParallelExecutor(workers=workers, retry=RetryPolicy(max_attempts=1)),
+        make_executor(
+            workers=workers, session=session,
+            retry=RetryPolicy(max_attempts=1),
+        ),
     )
-    failure: "str | None" = None
-    if specs:
-        try:
-            executor.run(
-                specs, on_event=emit, on_result=on_result, stop=drain
-            )
-        except SweepInterrupted:
-            pass  # draining: unacked cells are the coordinator's to requeue
-        except CellFailure as exc:
-            failure = exc.reason
-        except Exception as exc:  # pool machinery broke; cells survive
-            failure = f"{type(exc).__name__}: {exc}"
-    if drain is None or not drain.is_set():
-        reason = failure or "pooled shard ended without landing this cell"
-        with ack_lock:
-            unacked = [
-                pos for pos in range(len(specs)) if pos not in acked
-            ]
-        for pos in unacked:
-            channel.send(
-                {
-                    "type": "cell_error",
-                    "index": grid_index[pos],
-                    "error": reason,
-                }
-            )
-    channel.send({"type": "shard_done", "count": len(acked)})
+    failure = "shard ended without landing this cell"
+    try:
+        executor.run(specs, on_event=emit, on_result=on_result, stop=drain)
+    except SweepInterrupted:
+        pass  # draining: unacked cells are the coordinator's to requeue
+    except Exception as exc:  # a CellFailure already sent its cell_error
+        failure = f"{type(exc).__name__}: {exc}"
+    if not drain.is_set():
+        for pos in range(len(specs)):
+            ack(pos, {"type": "cell_error", "error": failure,
+                      "cause": "exception"})
+    with ack_lock:
+        landed = sum(1 for mtype in acked.values() if mtype == "cell_result")
+    channel.send({"type": "shard_done", "count": landed})
 
 
 def run_worker(
@@ -300,8 +182,8 @@ def run_worker(
     ``in_stream``/``out_stream`` default to stdin/stdout; tests inject
     in-memory streams to exercise the protocol without a subprocess.
     ``heartbeat <= 0`` disables the beacon thread.  ``workers > 1``
-    runs each shard through a supervised process pool
-    (:func:`_run_shard_pooled`) instead of the serial session loop.
+    runs each shard through a process pool of that size instead of the
+    agent's own session.
 
     SIGTERM/SIGINT request a graceful drain: the worker finishes the
     cell it is running (which lands durably on the bus), skips the rest
@@ -355,16 +237,10 @@ def run_worker(
             if mtype == "shutdown":
                 break
             if mtype == "shard":
-                if workers > 1:
-                    _run_shard_pooled(
-                        cache_dir, message.get("cells", ()), channel,
-                        workers, drain=drain,
-                    )
-                else:
-                    _run_shard(
-                        session, cache_dir, message.get("cells", ()),
-                        channel, drain=drain,
-                    )
+                _land_shard(
+                    session, cache_dir, message.get("cells", ()), channel,
+                    workers, drain,
+                )
                 if drain.is_set():
                     break
             else:

@@ -12,8 +12,9 @@ ledger*: per cell (digest plus the event's index) a state machine
 (:data:`TRANSITIONS`, ``pending -> running -> landed | exhausted``, and
 ``failed`` on ``cell_error``) with the attempts billed, worker pid,
 monotonic attempt start and last typed failure ``cause``.  The sweep
-journal persists its states, serve's ``/stats`` sums it, the pool
-executor's deadline and broken-pool logic read its running cells, and
+journal persists its states, serve's ``/stats`` sums it, the cell
+supervisor (:mod:`repro.resilience.supervisor`) finds overdue and
+crashed cells among its running cells, and
 :func:`repro.api.run_campaign` returns it.  Its :meth:`report` stays
 coherent when terminal events are missing -- a killed worker leaves its
 cells in ``incomplete``.  :class:`ProgressRenderer` draws the live
@@ -88,10 +89,14 @@ class Cell:
 class ProgressState:
     """The cell ledger: folds executor events into per-cell state and
     campaign-level tallies.  Thread-safe: a pool's drain thread and its
-    coordinator fold into one ledger concurrently."""
+    coordinator fold into one ledger concurrently.  ``clock`` stamps
+    attempt starts (``Cell.t0``) and elapsed time."""
 
-    def __init__(self, total: "int | None" = None) -> None:
+    def __init__(
+        self, total: "int | None" = None, clock=time.monotonic
+    ) -> None:
         self.total = total
+        self._clock = clock
         self.cells: "dict[tuple, Cell]" = {}
         # index views maintained by the fold (O(1) progress reads)
         self.started: set[int] = set()
@@ -102,7 +107,7 @@ class ProgressState:
         self.causes: dict[str, int] = {}
         self.illegal = 0
         self.malformed = 0
-        self.t_start = time.monotonic()
+        self.t_start = clock()
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -152,7 +157,7 @@ class ProgressState:
             return cell
         if target == "running":
             cell.worker = event.get("worker")
-            cell.t0 = time.monotonic()
+            cell.t0 = self._clock()
         if "attempt" in event:
             cell.attempts = event["attempt"]
         if event.get("cause") is not None:
@@ -185,7 +190,7 @@ class ProgressState:
     # derived facts
     # ------------------------------------------------------------------
     def elapsed(self) -> float:
-        return time.monotonic() - self.t_start
+        return self._clock() - self.t_start
 
     def cells_per_sec(self) -> float:
         dt = self.elapsed()

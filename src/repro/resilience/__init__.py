@@ -1,10 +1,15 @@
 """Crash-safe sweeps: journal, retry policy, graceful shutdown, fsck.
 
-The execution fabric's resilience layer, in four pieces:
+The execution fabric's resilience layer, in five pieces:
 
 * :class:`RetryPolicy` (:mod:`repro.resilience.retry`) -- the unified
   attempt-budget / backoff / per-cell-deadline vocabulary threaded
   through every executor backend.
+* :class:`~repro.resilience.supervisor.CellSupervisor`
+  (:mod:`repro.resilience.supervisor`) -- the one place that applies
+  it: bills attempts, schedules backoff, finds overdue cells in the
+  cell ledger, and records :class:`~repro.api.executor.CellFailure`
+  for the serial, pool and cluster backends alike.
 * :class:`SweepJournal` (:mod:`repro.resilience.journal`) -- the
   atomic, digest-keyed manifest behind ``repro sweep --journal`` /
   ``--resume``: a killed coordinator costs only the unlanded cells.

@@ -22,8 +22,8 @@ long-running daemon whose design center is *robustness*:
   replay as byte-identical cache hits and only unlanded cells
   recompute -- the same guarantee ``repro sweep --resume`` proves.
 * **Supervision.**  A supervisor thread relaunches dead runner threads
-  (executor workers below them are already supervised by
-  :class:`~repro.api.executor.ParallelExecutor`), enforces per-job
+  (executor cells below them are already supervised by
+  :class:`~repro.resilience.supervisor.CellSupervisor`), enforces per-job
   deadlines, and refreshes obs gauges.  Jobs run through
   :func:`~repro.api.run_campaign`; crash detection is typed -- when a
   ``worker_dead`` event or cause shows a worker died (never a mere
