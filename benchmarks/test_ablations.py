@@ -55,7 +55,7 @@ def test_ablation_snapshot_interval(benchmark):
 
     def sweep():
         rows = []
-        for cf in (1_000, 5_000, 20_000):
+        for cf in (250, 1_000, 5_000, 20_000):
             platform = MixedModePlatform(
                 "fft",
                 machine_config=BENCH_CONFIG,

@@ -18,12 +18,11 @@ banks while plain stores to one bank stay ordered by the bank FIFO.
 from __future__ import annotations
 
 import enum
-import weakref
 from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.isa import NUM_REGS, WORD_MASK, Op
+from repro.core.isa import NUM_REGS, WORD_MASK, Instr, Op
 from repro.core.program import Program
 from repro.soc.packets import CpxPacket, CpxType, PcxPacket, PcxType
 
@@ -561,29 +560,38 @@ class Core:
 # ----------------------------------------------------------------------
 # Threaded-code compiler
 # ----------------------------------------------------------------------
-# ``compile_program`` translates a Program once into a list of
-# per-instruction closures ("handlers"); ``Core._execute`` dispatches by
-# indexing the list with the thread's pc.  This removes the per-cycle
-# decode work (Instr field loads and the opcode if/elif chain) from the
-# hottest loop in the repository -- the golden runs, phase-1 replays and
-# phase-3 outcome runs all spend most of their time here.  Handlers must
-# be *bit-exact* with the original interpreter; the semantics below
-# mirror it branch for branch.
+# ``compile_program`` translates a Program into a list of per-instruction
+# closures ("handlers"); ``Core._execute`` dispatches by indexing the
+# list with the thread's pc.  This removes the per-cycle decode work
+# (Instr field loads and the opcode if/elif chain) from the hottest loop
+# in the repository -- the golden runs, phase-1 replays and phase-3
+# outcome runs all spend most of their time here.  Handlers must be
+# *bit-exact* with the original interpreter; the semantics below mirror
+# it branch for branch.
+#
+# A handler is a pure function of its instruction's value: the factories
+# below capture only ``Instr`` fields and module constants, and reach
+# thread, core and uncore state solely through the ``core``/``thread``
+# arguments of each call.  So one handler per distinct instruction is
+# shared by every thread, core, machine and platform in the process
+# (``_HANDLERS``, keyed by instruction value); the 18 Table 5 kernels
+# for 32 threads at 1/12,000 scale hold 56,558 instructions but only 727
+# distinct ones.  A factory that captured anything else would leak state
+# between threads -- keep new factories to the same rule.
 
-#: id(program) -> handler list; entries drop out when the program dies.
-_COMPILED: dict[int, list] = {}
+#: Instr -> its handler; grows with the distinct instructions built.
+_HANDLERS: dict[Instr, Callable] = {}
 
 
 def compile_program(program: Program) -> list:
-    """The (cached) handler list for a program."""
-    key = id(program)
-    handlers = _COMPILED.get(key)
-    if handlers is None:
-        handlers = [
-            _HANDLER_FACTORIES[instr.op](instr) for instr in program.instrs
-        ]
-        _COMPILED[key] = handlers
-        weakref.finalize(program, _COMPILED.pop, key, None)
+    """The handler list for a program, one shared handler per distinct
+    instruction (see the block comment above)."""
+    handlers = []
+    for instr in program.instrs:
+        handler = _HANDLERS.get(instr)
+        if handler is None:
+            handler = _HANDLERS[instr] = _HANDLER_FACTORIES[instr.op](instr)
+        handlers.append(handler)
     return handlers
 
 

@@ -11,6 +11,12 @@ from dataclasses import dataclass, field
 
 from repro.core.isa import CONTROL_OPS, Instr, Op
 
+#: Every distinct instruction built in this process, keyed by value.
+#: ``build`` returns the stored object for an equal instruction, so
+#: programs share their ``Instr`` objects (and the compiled handlers
+#: keyed by them, see ``repro.core.cpu``).
+_INTERNED: dict[Instr, Instr] = {}
+
 
 @dataclass(frozen=True)
 class Program:
@@ -214,7 +220,9 @@ class ProgramBuilder:
 
     # -- finalization -----------------------------------------------------
     def build(self) -> Program:
-        """Resolve labels and freeze the program."""
+        """Resolve labels and freeze the program (equal instructions are
+        one interned object)."""
+        intern = _INTERNED.setdefault
         resolved: list[Instr] = []
         for op, rd, ra, rb, imm in self._instrs:
             if isinstance(imm, _Label):
@@ -223,7 +231,8 @@ class ProgramBuilder:
                 imm = imm.position
             if op in CONTROL_OPS and not 0 <= imm <= len(self._instrs):
                 raise ValueError(f"{op.name}: branch target {imm} out of program")
-            resolved.append(Instr(op, rd=rd, ra=ra, rb=rb, imm=imm))
+            instr = Instr(op, rd=rd, ra=ra, rb=rb, imm=imm)
+            resolved.append(intern(instr, instr))
         return Program(self.name, tuple(resolved))
 
     def _target(self, target: "_Label | str | int"):

@@ -46,7 +46,14 @@ class CosimConfig:
             (paper: 2M cycles at full scale).  Delta snapshot chains
             made checkpoints cheap, so the default is dense: a shorter
             period directly cuts the phase-1 replay distance
-            (restore-then-replay dominates injection-run setup).
+            (restore-then-replay dominates injection-run setup).  The
+            binding constraint is memory, not time: the chain's deltas
+            grow about 4x from Cf 1,000 to 250, which alone lifted the
+            table5-cold benchmark's peak RSS from 94 to 119 MiB, past
+            its 5% bound.  250 became affordable once threads shared
+            one compiled handler per distinct instruction
+            (``repro.core.cpu``), which freed ~25 MiB there.  Results
+            do not depend on Cf.
         warmup_min / warmup_jitter: warm-up period before injection; the
             actual period is ``warmup_min + U[0, warmup_jitter)``
             (paper: at least 1,000 cycles, randomized).
@@ -58,7 +65,7 @@ class CosimConfig:
         quiesce_limit: bound on waiting for the component to go idle.
     """
 
-    snapshot_interval: int = 1_000
+    snapshot_interval: int = 250
     warmup_min: int = 500
     warmup_jitter: int = 500
     check_interval: int = 100
