@@ -808,7 +808,6 @@ def make_executor(
     cache_dir: "str | Path | None" = None,
     cluster: int = 0,
     launcher=None,
-    engine: "str | None" = None,
     *,
     retry: "RetryPolicy | None" = None,
     max_retries: "int | None" = None,
@@ -821,8 +820,9 @@ def make_executor(
     ``cache_dir`` wraps the chosen executor in a :class:`CachingExecutor`.
     ``cluster > 0`` instead builds a ``repro.cluster.ClusterExecutor``
     fanning out over that many worker agents (``launcher`` picks the
-    transport, ``cache_dir`` names the shared result bus, ``engine`` the
-    digest-neutral cycle engine the workers run).
+    transport, ``cache_dir`` names the shared result bus).  No backend
+    takes a cycle engine: every worker runs the default one, and an
+    in-process ``spec.engine`` reaches only the serial path's session.
 
     Resilience knobs: pass a full :class:`repro.resilience.RetryPolicy`
     as ``retry``, or the CLI-shaped scalars -- ``max_retries`` (extra
@@ -854,7 +854,6 @@ def make_executor(
             workers=cluster,
             launcher=launcher,
             cache_dir=cache_dir,
-            engine=engine,
             **options,
         )
     if workers <= 1:

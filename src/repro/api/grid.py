@@ -31,6 +31,10 @@ class Grid:
     Expansion order is deterministic: components outermost (one Fig. 3
     panel per component), then benchmarks, then seeds -- the order the
     sweep output is reported in regardless of which executor ran it.
+
+    A grid carries no cycle engine: it is serialized into sweep JSON,
+    journals and serve job ids, and engines are digest-neutral, so its
+    cells run the default engine wherever they execute.
     """
 
     components: tuple = INJECTION_COMPONENTS
@@ -42,11 +46,6 @@ class Grid:
     scale: float = DEFAULT_SCALE
     #: fault-model spec string, applied to injection cells (see repro.faults)
     fault: "str | None" = None
-    #: machine cycle engine for every cell (None: session default).
-    #: Bit-identical engines mean results do not depend on it; process
-    #: workers fall back to the default engine because the canonical
-    #: spec JSON deliberately omits it.
-    engine: "str | None" = None
 
     def to_dict(self) -> dict:
         """The grid description embedded in sweep JSON, journals, and
@@ -61,14 +60,15 @@ class Grid:
             "machine": self.machine.to_dict(),
             "scale": self.scale,
             "fault": self.fault,
-            "engine": self.engine,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Grid":
         """Rebuild a grid from :meth:`to_dict` output (journals, sweep
         JSON, serve requests).  Missing optional keys take the dataclass
-        defaults; a malformed machine dict raises ``KeyError`` /
+        defaults and unknown keys are ignored, so an older document's
+        ``"engine"`` key changes neither the grid nor its
+        :meth:`to_dict`; a malformed machine dict raises ``KeyError`` /
         ``ValueError`` for the caller to surface."""
         return cls(
             components=tuple(
@@ -85,7 +85,6 @@ class Grid:
             ),
             scale=data.get("scale", DEFAULT_SCALE),
             fault=data.get("fault"),
-            engine=data.get("engine"),
         )
 
     def specs(self) -> list[ExperimentSpec]:
@@ -121,7 +120,6 @@ class Grid:
                                 if self.mode == "injection"
                                 else None
                             ),
-                            engine=self.engine,
                         )
                     )
         return out

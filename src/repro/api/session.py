@@ -38,8 +38,9 @@ class Session:
     ``engine`` selects the machine cycle engine for specs that do not
     name one themselves (``ExperimentSpec.engine`` wins when set).  Both
     engines -- event and reference -- produce bit-identical
-    results, so the choice is a performance knob only and never reaches
-    spec digests, cache keys or canonical result bytes.
+    results, so the choice is an in-process test and diagnostic setting:
+    it never reaches spec digests, cache keys or canonical result bytes,
+    and no executor, worker or CLI flag forwards it.
     """
 
     def __init__(
@@ -57,17 +58,25 @@ class Session:
         key = spec.platform_key()
         platform = self._platforms.get(key)
         if platform is None:
-            platform = MixedModePlatform(
-                spec.benchmark,
-                machine_config=spec.machine,
-                scale=spec.scale,
-                seed=spec.seed,
-                pcie_input=spec.pcie_input,
-                engine=spec.engine or self.engine,
-            )
+            platform = self._build(spec)
             if self._cache_platforms:
                 self._platforms[key] = platform
         return platform
+
+    def _build(self, spec: ExperimentSpec) -> MixedModePlatform:
+        """A fresh platform (and golden run) for a spec's workload cell."""
+        return MixedModePlatform(
+            spec.benchmark,
+            machine_config=spec.machine,
+            scale=spec.scale,
+            seed=spec.seed,
+            pcie_input=spec.pcie_input,
+            engine=self._engine(spec),
+        )
+
+    def _engine(self, spec: ExperimentSpec) -> str:
+        """The cycle engine a spec runs on: its own, else the session's."""
+        return spec.engine or self.engine
 
     def platforms(self) -> list[MixedModePlatform]:
         """The currently cached platforms (e.g. for perf accounting)."""
@@ -181,7 +190,7 @@ class Session:
             scale=spec.scale,
             seed=spec.seed,
         )
-        machine = Machine(spec.machine, engine=spec.engine or self.engine)
+        machine = Machine(spec.machine, engine=self._engine(spec))
         machine.load_workload(image, pcie_input=spec.pcie_input)
         return compute_golden(
             machine,

@@ -62,9 +62,10 @@ class ExperimentSpec:
         engine: machine cycle engine (``event``/``reference``);
             ``None`` defers to the session default.  The engines are
             bit-identical (the differential suite enforces it), so the
-            engine is a performance knob only: it is
-            excluded from equality, digests and the canonical JSON so
-            results and cache entries are engine-independent.
+            engine is an in-process test and diagnostic setting: it is
+            excluded from equality, digests and the canonical JSON, so
+            results and cache entries are engine-independent and pool,
+            cluster and serve workers always run the default engine.
     """
 
     benchmark: str = "fft"

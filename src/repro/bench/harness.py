@@ -567,9 +567,9 @@ def fault_overhead_guard(
 def obs_overhead_guard(
     settings: "BenchSettings | None" = None,
     log=lambda line: None,
-    engine: str = "event",
 ) -> dict:
-    """Measure the observability layer's tax on a campaign cell.
+    """Measure the observability layer's tax on a campaign cell (on the
+    default engine, like the fault guard).
 
     Runs the same L2C injection cell on two platforms built under
     opposite obs states -- one with the layer disabled (null metric
@@ -589,6 +589,7 @@ def obs_overhead_guard(
     from repro import obs
 
     settings = settings if settings is not None else BenchSettings.tiny()
+    engine = DEFAULT_ENGINE
     component = "l2c"
     prev_env = os.environ.get("REPRO_OBS")
     prev_enabled = obs.enabled()

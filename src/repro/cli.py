@@ -58,7 +58,7 @@ from repro.api import (
     run_campaign,
 )
 from repro.faults.models import DEFAULT_FAULT
-from repro.system.machine import ENGINES, MachineConfig
+from repro.system.machine import MachineConfig
 from repro.system.outcome import OUTCOME_ORDER
 from repro.utils.render import render_table
 from repro.workloads import ALL_BENCHMARKS
@@ -89,7 +89,6 @@ def _spec(args, mode: str, component: "str | None" = None) -> ExperimentSpec:
             seed=args.seed,
             n=getattr(args, "n", 1),
             fault=getattr(args, "fault", None),
-            engine=getattr(args, "engine", None),
         )
     except ValueError as exc:
         raise _UserError(str(exc)) from exc
@@ -169,11 +168,6 @@ def cmd_qrr(args) -> int:
     return 0 if ok else 1
 
 
-def _grid_dict(grid: Grid) -> dict:
-    """The grid description embedded in sweep JSON and journals."""
-    return grid.to_dict()
-
-
 def cmd_sweep(args) -> int:
     from repro.resilience import GracefulShutdown, SweepJournal
 
@@ -230,7 +224,6 @@ def cmd_sweep(args) -> int:
             machine=_machine_config(args),
             scale=args.scale,
             fault=args.fault,
-            engine=args.engine,
         )
         try:
             specs = grid.specs()
@@ -241,7 +234,7 @@ def cmd_sweep(args) -> int:
         return 1
     if args.journal:
         journal = SweepJournal.create(
-            args.journal, _grid_dict(grid), specs, bus=args.cache_dir
+            args.journal, grid.to_dict(), specs, bus=args.cache_dir
         )
         cache_dir = str(journal.bus_path())
         print(
@@ -254,7 +247,6 @@ def cmd_sweep(args) -> int:
             cache_dir=cache_dir,
             cluster=args.cluster,
             launcher=args.launcher,
-            engine=args.engine,
             max_retries=args.max_retries,
             heartbeat_timeout=args.heartbeat_timeout,
             cell_timeout=args.cell_timeout,
@@ -330,7 +322,7 @@ def cmd_sweep(args) -> int:
     if args.json:
         payload = {
             "schema_version": results[0].to_dict()["schema_version"],
-            "grid": _grid_dict(grid),
+            "grid": grid.to_dict(),
             "results": [r.to_dict() for r in results],
         }
         _emit_text(dumps_canonical(payload), args.json)
@@ -510,19 +502,17 @@ def cmd_bench(args) -> int:
 
     settings = BenchSettings.tiny() if args.tiny else BenchSettings()
     if args.obs_guard:
-        guard = obs_overhead_guard(
-            settings, log=print, engine=args.obs_guard_engine
-        )
+        guard = obs_overhead_guard(settings, log=print)
         if guard["overhead"] > args.obs_tolerance:
             print(
-                f"obs overhead guard[{args.obs_guard_engine}]: campaign "
+                f"obs overhead guard[{guard['engine']}]: campaign "
                 f"with REPRO_OBS=1 is {guard['overhead']:+.1%} vs obs off "
                 f"(limit {args.obs_tolerance:.0%})",
                 file=sys.stderr,
             )
             return 1
         print(
-            f"obs overhead guard[{args.obs_guard_engine}]: "
+            f"obs overhead guard[{guard['engine']}]: "
             f"{guard['overhead']:+.1%} (limit {args.obs_tolerance:.0%}): ok"
         )
         return 0
@@ -575,7 +565,6 @@ def cmd_worker(args) -> int:
 
     return run_worker(
         args.cache_dir,
-        engine=args.engine,
         worker_id=args.worker_id,
         heartbeat=args.heartbeat,
         workers=args.workers,
@@ -606,7 +595,6 @@ def cmd_serve(args) -> int:
         runners=args.runners,
         workers=args.workers,
         warm_platforms=args.warm_platforms,
-        engine=args.engine,
         retry=retry,
         job_timeout=args.job_timeout,
     )
@@ -764,11 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scale", type=float, default=DEFAULT_SCALE)
         p.add_argument("--seed", type=int, default=2015)
         p.add_argument(
-            "--engine", default=None, choices=list(ENGINES),
-            help="machine cycle engine (bit-identical results; "
-                 "performance knob only -- default: event)",
-        )
-        p.add_argument(
             "--obs", action="store_true",
             help="enable the metrics layer (same as REPRO_OBS=1); "
                  "digest-neutral -- results are bit-identical either way",
@@ -913,9 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "the disabled path and fail (exit 1) beyond "
                         "--obs-tolerance")
     p.add_argument("--obs-tolerance", type=float, default=0.10)
-    p.add_argument("--obs-guard-engine", default="event",
-                   choices=list(ENGINES),
-                   help="cycle engine the obs-overhead guard runs on")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
@@ -924,9 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cache-dir", required=True, metavar="DIR",
                    help="the shared content-addressed result bus directory")
-    p.add_argument("--engine", default=None, choices=list(ENGINES),
-                   help="cycle engine for this worker's session "
-                        "(digest-neutral)")
     p.add_argument("--worker-id", type=int, default=0)
     p.add_argument("--heartbeat", type=float, default=2.0, metavar="SECONDS",
                    help="liveness beacon period (<= 0 disables)")
@@ -968,9 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warm-platforms", type=int, default=8, metavar="N",
                    help="LRU capacity of the warm platform/snapshot "
                         "pool shared across jobs")
-    p.add_argument("--engine", default=None, choices=list(ENGINES),
-                   help="cycle engine for daemon sessions "
-                        "(digest-neutral)")
     p.add_argument("--max-retries", type=int, default=1, metavar="N",
                    help="per-cell re-attempt budget inside a job")
     p.add_argument("--cell-timeout", type=float, default=None,

@@ -20,9 +20,10 @@ sweep is **byte-identical** to a serial one:
   transport: a CI-tested localhost subprocess launcher and an ssh
   launcher behind the same interface.
 
-Like the engine and obs switches, *where* a sweep runs is
-digest-neutral: cluster execution never touches spec digests, cache
-keys or canonical result bytes.
+Like the obs switch, *where* a sweep runs is digest-neutral: cluster
+execution never touches spec digests, cache keys or canonical result
+bytes.  Agents run the default cycle engine, as pool workers do: the
+engine is an in-process setting and never crosses the wire.
 """
 
 from repro.api.executor import register_backend
@@ -48,12 +49,8 @@ __all__ = [
 
 register_backend(
     "cluster",
-    lambda workers=2, launcher=None, cache_dir=None, engine=None, **options:
+    lambda workers=2, launcher=None, cache_dir=None, **options:
         ClusterExecutor(
-            workers=workers,
-            launcher=launcher,
-            cache_dir=cache_dir,
-            engine=engine,
-            **options,
+            workers=workers, launcher=launcher, cache_dir=cache_dir, **options
         ),
 )

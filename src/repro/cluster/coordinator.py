@@ -140,10 +140,6 @@ class ClusterExecutor:
         cache_dir: the shared result bus directory.  ``None`` uses a
             private temporary directory torn down after the run (fine
             for localhost; ssh workers need a shared path).
-        engine: digest-neutral cycle engine the workers run.  ``None``
-            infers a uniform ``spec.engine`` from the batch, else the
-            default -- mirroring how process-pool workers fall back
-            because canonical spec JSON deliberately omits the engine.
         max_retries: shorthand for a zero-backoff ``retry`` policy with
             ``max_attempts = max_retries + 1`` (ignored when ``retry``
             is given).
@@ -170,7 +166,6 @@ class ClusterExecutor:
         launcher: "Launcher | str | None" = None,
         cache_dir: "str | Path | None" = None,
         *,
-        engine: "str | None" = None,
         max_retries: int = 2,
         heartbeat_interval: float = 2.0,
         heartbeat_timeout: "float | None" = None,
@@ -185,7 +180,6 @@ class ClusterExecutor:
         self.worker_procs = worker_procs
         self.launcher = parse_launcher(launcher)
         self.cache_dir = cache_dir
-        self.engine = engine
         self.retry = (
             retry if retry is not None
             else RetryPolicy(max_attempts=max_retries + 1, backoff_base=0.0)
@@ -241,7 +235,7 @@ class ClusterExecutor:
     # ------------------------------------------------------------------
     # distributed phase
     # ------------------------------------------------------------------
-    def _worker_args(self, bus: Path, wid: int, engine: "str | None") -> list:
+    def _worker_args(self, bus: Path, wid: int) -> list:
         args = [
             "--cache-dir",
             str(bus),
@@ -250,31 +244,17 @@ class ClusterExecutor:
             "--heartbeat",
             str(self.heartbeat_interval),
         ]
-        if engine is not None:
-            args += ["--engine", engine]
         if self.worker_procs > 1:
             args += ["--workers", str(self.worker_procs)]
         return args
-
-    def _batch_engine(self, specs: list) -> "str | None":
-        """The engine workers should run: explicit wins, else a uniform
-        per-spec engine (engines are digest-neutral, so this only keeps
-        performance comparisons honest, never correctness)."""
-        if self.engine is not None:
-            return self.engine
-        engines = {spec.engine for spec in specs}
-        if len(engines) == 1:
-            return engines.pop()
-        return None
 
     def _run_distributed(self, specs: list, bus: Path, run: _Run, stop) -> None:
         from repro import obs
 
         sup = run.sup
-        engine = self._batch_engine(specs)
         agents: list[_Agent] = []
         for wid, shard in enumerate(shard_by_digest(specs, self.workers)):
-            agent = self._launch(wid, bus, engine)
+            agent = self._launch(wid, bus)
             agents.append(agent)
             self._start_io(agent, run)
             if shard:
@@ -316,11 +296,9 @@ class ClusterExecutor:
         finally:
             self._shutdown(agents)
 
-    def _launch(self, wid: int, bus: Path, engine: "str | None") -> _Agent:
+    def _launch(self, wid: int, bus: Path) -> _Agent:
         try:
-            proc = self.launcher.launch(
-                wid, self._worker_args(bus, wid, engine)
-            )
+            proc = self.launcher.launch(wid, self._worker_args(bus, wid))
         except OSError as exc:
             from repro.api.executor import logger
 

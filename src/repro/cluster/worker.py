@@ -29,10 +29,10 @@ a killed pool worker, ``worker_dead``); the inner ``cell_retry``/
 cell of a shard is acknowledged with ``cell_result`` or ``cell_error``
 unless the agent is draining -- the coordinator's monitor loop counts
 on exactly that to terminate.  The agent exits on ``shutdown`` or EOF
-(coordinator death), never killing the host it runs on.  Like
-process-pool sweeps, pool workers fall back to the default engine
-(canonical spec JSON deliberately omits it; engines are digest-neutral
-so results are unaffected).
+(coordinator death), never killing the host it runs on.  Like a
+process-pool worker it runs the default cycle engine: canonical spec
+JSON omits the engine and no agent option selects one (engines are
+digest-neutral, so results are unaffected).
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from repro.cluster.protocol import (
     parse_line,
 )
 from repro.resilience import RetryPolicy, SweepInterrupted
-from repro.system.machine import DEFAULT_ENGINE
 
 #: inner executor events the agent keeps to itself: billing is the
 #: coordinator's job
@@ -170,7 +169,6 @@ def _land_shard(
 def run_worker(
     cache_dir: "str | Path",
     *,
-    engine: "str | None" = None,
     worker_id: int = 0,
     heartbeat: float = 2.0,
     workers: int = 1,
@@ -204,7 +202,7 @@ def run_worker(
             signal.signal(signal.SIGINT, _drain_handler)
         except (ValueError, OSError):
             pass  # exotic host (no signal support); drain stays inert
-    session = Session(engine=engine if engine is not None else DEFAULT_ENGINE)
+    session = Session()
     channel.send(
         {
             "type": "ready",

@@ -270,12 +270,6 @@ class Core:
                     dirty.add(idx)
         self.invalidations += 1
 
-    def l1_flush(self) -> None:
-        self._l1_tags = [-1] * self._l1_size
-        self.dirty = True
-        if self._l1_dirty is not None:
-            self._l1_dirty.update(range(self._l1_size))
-
     # ------------------------------------------------------------------
     # Thread management
     # ------------------------------------------------------------------

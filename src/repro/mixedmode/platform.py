@@ -25,11 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.faults.event import FaultEvent
 from repro.faults.models import SingleBitFlip
-from repro.mixedmode.adapters import (
-    CosimAdapterBase,
-    L2cCosimAdapter,
-    make_adapter,
-)
+from repro.mixedmode.adapters import L2cCosimAdapter, make_adapter
 from repro.system.machine import DEFAULT_ENGINE, Machine, MachineConfig
 from repro.system.outcome import Outcome, RunResult, classify_outcome
 from repro.system.snapshots import SnapshotChain
@@ -542,8 +538,7 @@ class MixedModePlatform:
         if ran_phase3:
             machine.corrupt_watch = set(cosim.corrupted_words)
             machine.corrupt_read_cycle = None
-            hang_cap = int(self.golden.cycles * self.cosim.hang_factor) + 50_000
-            result = self.golden.finish(machine, hang_cap)
+            result = self.golden.finish(machine, self.hang_cap())
             outcome = classify_outcome(result, self.golden.output, error_touched)
 
         # ---- measurements ----------------------------------------------------
@@ -596,16 +591,26 @@ class MixedModePlatform:
                 machine.run_until_cycle(due)
             live.fire(adapter, machine.cycle)
 
+    def hang_cap(self) -> int:
+        """Phase 3's cycle budget: a run past it is classified a hang."""
+        return int(self.golden.cycles * self.cosim.hang_factor) + 50_000
+
     # ------------------------------------------------------------------
-    def _attach_quiesced(self, component: str, instance: int) -> CosimAdapterBase:
-        """Wait for the target component to go idle, then swap in the RTL."""
+    def _attach_quiesced(self, component: str, instance: int, build=None):
+        """Wait for the target component to go idle, then swap in the RTL
+        that ``build(machine, component, instance)`` returns (default:
+        the co-simulation adapter; QRR passes its protected servers)."""
         machine = self.machine
         if component != "pcie":  # the DMA engine is attached mid-transfer
             for _ in range(self.cosim.quiesce_limit):
                 if self._component_idle(component, instance):
                     break
                 machine.step()
-        adapter = make_adapter(machine, component, instance)
+        if build is None:
+            # looked up per call, not bound as a default: profilers wrap
+            # the module-level name
+            build = make_adapter
+        adapter = build(machine, component, instance)
         adapter.attach()
         return adapter
 

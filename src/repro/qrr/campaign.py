@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass, field
 
 from repro.mixedmode.platform import MixedModePlatform
-from repro.qrr.coverage import classify_coverage
 from repro.qrr.servers import QrrL2cServer, QrrMcuServer
 from repro.rtl.registers import FlipFlopClass
 
@@ -41,10 +40,6 @@ class QrrCampaignResult:
     failures: list[tuple] = field(default_factory=list)
     recovery_cycles: list[int] = field(default_factory=list)
     runs: list[QrrRun] = field(default_factory=list)
-
-    @property
-    def recovery_rate(self) -> float:
-        return self.recovered / self.injections if self.injections else 0.0
 
     @property
     def max_recovery_cycles(self) -> int:
@@ -112,15 +107,9 @@ class QrrCampaign:
         machine.restore(snap)
         machine.run_until_cycle(cycle)
         # quiesce the component, then swap in the QRR-protected RTL server
-        for _ in range(plat.cosim.quiesce_limit):
-            if plat._component_idle(self.component, instance):
-                break
-            machine.step()
-        if self.component == "l2c":
-            server = QrrL2cServer(machine, instance)
-        else:
-            server = QrrMcuServer(machine, instance)
-        server.attach()
+        server = plat._attach_quiesced(
+            self.component, instance, build=_build_server
+        )
         # warm up so the record table holds live in-flight requests
         warmup = plat.cosim.warmup_min + rng.randrange(
             max(1, plat.cosim.warmup_jitter)
@@ -142,8 +131,7 @@ class QrrCampaign:
         server.detach()
         if machine.any_trap() is not None:
             return False, server.recovery_cycles_log, detected
-        hang_cap = int(plat.golden.cycles * plat.cosim.hang_factor) + 50_000
-        final = plat.golden.finish(machine, hang_cap)
+        final = plat.golden.finish(machine, plat.hang_cap())
         ok = (
             final.completed
             and final.trap is None
@@ -151,13 +139,9 @@ class QrrCampaign:
         )
         return ok, server.recovery_cycles_log, detected
 
-    def coverage_summary(self):
-        """Coverage classification of the protected component."""
-        if self.component == "l2c":
-            server = QrrL2cServer(self.platform.machine, 0)
-            server.release = None  # not attached; probe only
-            module = server.rtl
-        else:
-            server = QrrMcuServer(self.platform.machine, 0)
-            module = server.rtl
-        return classify_coverage(module, self.component)
+
+def _build_server(machine, component: str, instance: int):
+    """The QRR-protected RTL server for an L2C bank or MCU."""
+    if component == "l2c":
+        return QrrL2cServer(machine, instance)
+    return QrrMcuServer(machine, instance)

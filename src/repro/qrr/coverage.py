@@ -50,10 +50,6 @@ class QrrCoverage:
         """All selectively-hardened flip-flops (incl. the controller)."""
         return self.hardened_timing + self.hardened_config + self.qrr_controller
 
-    @property
-    def covered_fraction(self) -> float:
-        return self.parity_covered / (self.target_ffs + self.qrr_controller)
-
 
 def classify_coverage(module: RtlModule, component: str) -> QrrCoverage:
     """Classify a module's target flip-flops into QRR categories."""

@@ -34,7 +34,10 @@ long-running daemon whose design center is *robustness*:
 
 Digest-neutrality: everything here is operational state.  Serving a
 campaign over HTTP, from a warm pool, after three crashes, yields the
-same canonical bytes as ``repro sweep`` in a fresh process.
+same canonical bytes as ``repro sweep`` in a fresh process.  The daemon
+runs the default cycle engine: engine choice is an in-process setting
+of :class:`~repro.api.session.Session`, never a service option or part
+of a request.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from repro.api.spec import ExperimentSpec
 from repro.obs.progress import ProgressState
 from repro.resilience import RetryPolicy, fsck_cache
 from repro.serve.state import Job, JobStore, job_id_for, normalize_request
-from repro.system.machine import DEFAULT_ENGINE
 
 
 class AdmissionError(Exception):
@@ -99,10 +101,8 @@ class PooledSession(Session):
     one would exceed it.  Hit/miss/eviction tallies feed ``/stats``.
     """
 
-    def __init__(
-        self, capacity: int = 8, engine: str = DEFAULT_ENGINE
-    ) -> None:
-        super().__init__(cache_platforms=True, engine=engine)
+    def __init__(self, capacity: int = 8) -> None:
+        super().__init__(cache_platforms=True)
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
@@ -132,18 +132,6 @@ class PooledSession(Session):
                 self.pool_evictions += 1
         return platform
 
-    def _build(self, spec: ExperimentSpec):
-        from repro.mixedmode.platform import MixedModePlatform
-
-        return MixedModePlatform(
-            spec.benchmark,
-            machine_config=spec.machine,
-            scale=spec.scale,
-            seed=spec.seed,
-            pcie_input=spec.pcie_input,
-            engine=spec.engine or self.engine,
-        )
-
     def pool_stats(self) -> dict:
         with self._lock:
             return {
@@ -169,7 +157,6 @@ class CampaignService:
         runners: int = 1,
         workers: int = 1,
         warm_platforms: int = 8,
-        engine: "str | None" = None,
         retry: "RetryPolicy | None" = None,
         job_timeout: "float | None" = None,
         fsck_on_start: bool = True,
@@ -184,7 +171,6 @@ class CampaignService:
         self.per_client_limit = max(1, per_client_limit)
         self.runners = max(1, runners)
         self.workers = max(1, workers)
-        self.engine = engine if engine is not None else DEFAULT_ENGINE
         self.retry = retry if retry is not None else RetryPolicy(
             max_attempts=2, backoff_base=0.05
         )
@@ -195,9 +181,7 @@ class CampaignService:
         self.before_job = before_job
 
         self.store = JobStore(self.state_dir / "jobs", self.bus)
-        self.session = PooledSession(
-            capacity=max(1, warm_platforms), engine=self.engine
-        )
+        self.session = PooledSession(capacity=max(1, warm_platforms))
         self.started_at = time.monotonic()
 
         self._lock = threading.Lock()

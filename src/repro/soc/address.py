@@ -57,10 +57,6 @@ class AddressMap:
     def bank_shift(self) -> int:
         return self._bank_shift
 
-    @property
-    def banks_per_mcu(self) -> int:
-        return self._banks_per_mcu
-
     def word_align(self, addr: int) -> int:
         return addr & ~(WORD_BYTES - 1)
 
@@ -78,10 +74,6 @@ class AddressMap:
     def bank_of(self, addr: int) -> int:
         """L2 bank serving this address (line-interleaved)."""
         return (addr >> self._bank_shift) & self._bank_mask
-
-    def mcu_of(self, addr: int) -> int:
-        """DRAM controller serving this address."""
-        return self.bank_of(addr) // self._banks_per_mcu
 
     def mcu_of_bank(self, bank: int) -> int:
         return bank // self._banks_per_mcu

@@ -8,17 +8,17 @@ register arrays, so every field here has a defined bit width; packets can
 be packed to/unpacked from those fields losslessly.
 
 Packets are value objects and must be treated as immutable: derive
-modified copies with ``dataclasses.replace`` (or the ``with_*`` helpers)
-instead of assigning fields.  They are deliberately *not* declared
-``frozen`` -- a frozen dataclass pays an ``object.__setattr__`` call per
-field on construction, and packet creation sits on the hottest uncore
-path in the repository.
+modified copies with ``dataclasses.replace`` instead of assigning
+fields.  They are deliberately *not* declared ``frozen`` -- a frozen
+dataclass pays an ``object.__setattr__`` call per field on
+construction, and packet creation sits on the hottest uncore path in
+the repository.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 #: Field widths (bits) used when packets are latched in RTL queues.
 TYPE_BITS = 3
@@ -99,9 +99,6 @@ class PcxPacket:
         except ValueError:
             decoded = PcxType.LOAD  # malformed; consumer flags protocol error
         return PcxPacket(decoded, core, thread, addr, data, reqid)
-
-    def with_addr(self, addr: int) -> "PcxPacket":
-        return replace(self, addr=addr)
 
 
 class McuOp(enum.IntEnum):

@@ -57,14 +57,6 @@ class RunResult:
     hung: bool = False
     retired: int = 0
 
-    @property
-    def outcome_kind(self) -> str:
-        if self.trap is not None:
-            return "trap"
-        if self.hung:
-            return "hang"
-        return "completed"
-
 
 def classify_outcome(
     result: RunResult,

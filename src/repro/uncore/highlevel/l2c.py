@@ -193,9 +193,6 @@ class HighLevelL2Bank:
     # ------------------------------------------------------------------
     # Functional operations
     # ------------------------------------------------------------------
-    def _emit(self, cycle: int, pkt: CpxPacket, extra_latency: int = 0) -> None:
-        self._out.append((cycle + HIT_LATENCY + extra_latency, pkt))
-
     def _install_and_complete(
         self, pkt: PcxPacket, data: tuple[int, ...], cycle: int
     ) -> None:

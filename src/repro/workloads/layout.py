@@ -84,10 +84,6 @@ class ImageBuilder:
         self._input_words = list(words)
         return INPUT_BASE
 
-    @property
-    def input_words(self) -> "list[int] | None":
-        return self._input_words
-
     # -- finalization -------------------------------------------------------
     def finish(self, programs: list[Program]) -> WorkloadImage:
         if len(programs) != self.threads:

@@ -20,7 +20,7 @@ from repro.api import (
 )
 from repro.api.executor import CellFailure
 from repro.api.session import Session
-from repro.cli import _grid_dict, main
+from repro.cli import main
 from repro.cluster import SshLauncher
 from repro.cluster.launchers import split_host_port
 from repro.obs import ProgressState
@@ -337,7 +337,7 @@ def _make_journal(tmp_path, specs=None, grid=None):
     grid = grid if grid is not None else _grid()
     specs = specs if specs is not None else grid.specs()
     journal = SweepJournal.create(
-        tmp_path / "journal", _grid_dict(grid), specs
+        tmp_path / "journal", grid.to_dict(), specs
     )
     return journal, specs
 
