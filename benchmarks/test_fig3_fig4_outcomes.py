@@ -38,7 +38,7 @@ def test_fig3_panel(benchmark, component):
     )
     _RESULTS[component] = result
     headers = ["benchmark"] + [o.value for o in OUTCOME_ORDER]
-    rows = [cell.result.table.row() for cell in result.cells]
+    rows = [cell.result.row() for cell in result.cells]
     mean_row = ["avg."] + [
         f"{result.mean_rate(o):.2%}" for o in OUTCOME_ORDER
     ]

@@ -27,9 +27,7 @@ def test_fig8_propagation_latency(benchmark):
     campaigns = benchmark.pedantic(_campaigns, rounds=1, iterations=1)
     printed = False
     for component in ("l2c", "mcu"):
-        analysis = PropagationAnalysis.from_campaigns(
-            component, [campaigns[component]]
-        )
+        analysis = PropagationAnalysis.from_runs(component, campaigns[component])
         if not analysis.samples:
             continue
         printed = True
@@ -53,9 +51,7 @@ def test_fig9_rollback_distance(benchmark):
     campaigns = benchmark.pedantic(_campaigns, rounds=1, iterations=1)
     printed = False
     for component in ("l2c", "mcu"):
-        analysis = RollbackAnalysis.from_campaigns(
-            component, [campaigns[component]]
-        )
+        analysis = RollbackAnalysis.from_runs(component, campaigns[component])
         if not analysis.samples:
             continue
         printed = True

@@ -37,15 +37,15 @@ def main() -> None:
         campaign = InjectionCampaign(platform, component, seed=3)
         campaigns[component] = campaign.run(args.n)
 
-    for component, result in campaigns.items():
-        prop = PropagationAnalysis.from_campaigns(component, [result])
+    for component, runs in campaigns.items():
+        prop = PropagationAnalysis.from_runs(component, runs)
         if prop.samples:
             print(render_series(
                 f"Fig. 8 -- {component.upper()} propagation latency CDF "
                 f"({len(prop.samples)} samples, mean {prop.mean:,.0f} cycles)",
                 prop.decade_series(max_exponent=6),
             ))
-        roll = RollbackAnalysis.from_campaigns(component, [result])
+        roll = RollbackAnalysis.from_runs(component, runs)
         if roll.samples:
             print(render_series(
                 f"Fig. 9 -- {component.upper()} required rollback distance CDF "

@@ -61,10 +61,7 @@ def main() -> None:
             + [o.value for o in OUTCOME_ORDER]
             + ["erroneous (95% CI)"]
         )
-        rows = []
-        for cell in cells:
-            table = cell.outcome_table()
-            rows.append(table.row() + [str(table.erroneous)])
+        rows = [cell.row() + [str(cell.erroneous)] for cell in cells]
         print(render_table(headers, rows, title=f"Fig. 3 panel: {component.upper()}"))
         mean = sum(c.erroneous.rate for c in cells) / len(cells)
         print(f"mean erroneous rate: {mean:.2%}\n")

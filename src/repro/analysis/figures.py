@@ -1,6 +1,9 @@
 """Drivers for the paper's figures (3, 4, 8, 9 plus helpers).
 
 These run real injection campaigns through the mixed-mode platform.
+Every cell is the canonical :class:`~repro.api.result.ExperimentResult`
+of ``Session.run``, so a figure built from results loaded from a
+``repro sweep --json`` document equals the one built in-process.
 Sample counts default far below the paper's 40,000/cell so the benches
 complete on a laptop; pass larger ``n_injections`` to tighten the
 confidence intervals (the statistics module sizes campaigns the same way
@@ -11,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.api.result import ExperimentResult
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec
-from repro.injection.campaign import CampaignResult
 from repro.system.machine import MachineConfig
 from repro.system.outcome import OUTCOME_ORDER, Outcome
 
@@ -35,11 +38,10 @@ class Fig3Cell:
 
     component: str
     benchmark: str
-    result: CampaignResult
+    result: ExperimentResult
 
     def rates(self) -> dict[str, float]:
-        table = self.result.table
-        return {o.value: table.rate(o).rate for o in OUTCOME_ORDER}
+        return {o.value: self.result.rate(o).rate for o in OUTCOME_ORDER}
 
 
 @dataclass
@@ -53,14 +55,14 @@ class Fig3Result:
         """Arithmetic mean across benchmarks (the paper's 'avg.' bar)."""
         if not self.cells:
             raise ValueError("no campaign cells")
-        return sum(c.result.table.rate(outcome).rate for c in self.cells) / len(
+        return sum(c.result.rate(outcome).rate for c in self.cells) / len(
             self.cells
         )
 
     def mean_erroneous(self) -> float:
         """Mean non-Vanished probability (paper: 1.4/1.7/2.2/1.7% for
         L2C/MCU/CCX/PCIe)."""
-        return sum(c.result.table.erroneous.rate for c in self.cells) / len(
+        return sum(c.result.erroneous.rate for c in self.cells) / len(
             self.cells
         )
 
@@ -97,7 +99,7 @@ def fig3_outcome_rates(
             seed=seed,
             n=n_injections,
         )
-        out.cells.append(Fig3Cell(component, short, session.campaign(spec)))
+        out.cells.append(Fig3Cell(component, short, session.run(spec)))
     return out
 
 

@@ -132,10 +132,9 @@ def fault_model_comparison(results):
                 f"fault_model_comparison needs injection cells, got "
                 f"{result.spec.mode!r}"
             )
-        table = result.outcome_table()
         rows.append(
             [result.spec.fault or DEFAULT_FAULT]
-            + [f"{table.rate(o).rate:.2%}" for o in OUTCOME_ORDER]
-            + [str(table.erroneous), str(result.masked_count())]
+            + [f"{result.rate(o).rate:.2%}" for o in OUTCOME_ORDER]
+            + [str(result.erroneous), str(result.masked_count())]
         )
     return headers, rows

@@ -1,7 +1,12 @@
 """Unified experiment API -- the single front door to the reproduction.
 
 Compose a spec, hand it to a session (or a grid of specs to an
-executor), get canonical results back::
+executor), get canonical results back.  There is one result model: a
+:class:`RunRecord` per run and an :class:`ExperimentResult` per cell,
+whose methods (``outcome_counts``, ``rate``, ``erroneous``, ``row``,
+``recovered``, ...) derive every aggregate from the records.  Figures,
+tables and benches read these objects, so they are a function of the
+canonical JSON bytes a result saves::
 
     from repro.api import ExperimentSpec, Grid, Session, make_executor
 

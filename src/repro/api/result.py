@@ -2,11 +2,12 @@
 
 All three experiment modes (injection, QRR, golden) reduce to one
 :class:`ExperimentResult`: the spec that produced it, one
-:class:`RunRecord` per run, and the golden-run length.  Aggregates
-(outcome counts, persistent tally, recovery stats, latency samples) are
-derived from the records, so the schema is lossless: ``save()`` followed
-by ``load()`` reproduces an equal object, and merging or re-aggregating
-sweep output never needs the original process.
+:class:`RunRecord` per run, and the golden-run length.  It is the only
+per-cell aggregate: outcome counts, the Fig. 3 rates, the persistent
+tally and the recovery stats are derived from the records, so the schema
+is lossless -- ``save()`` followed by ``load()`` reproduces an equal
+object, and every figure and table computed from a loaded result equals
+the one computed in the process that ran the cell.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from pathlib import Path
 
 from repro.api.spec import ExperimentSpec
 from repro.faults.models import DEFAULT_FAULT
-from repro.injection.campaign import OutcomeTable
 from repro.system.outcome import OUTCOME_ORDER, Outcome
 from repro.utils.stats import BinomialEstimate
 
@@ -126,29 +126,45 @@ class ExperimentResult:
         return sum(1 for r in self.records if r.persistent)
 
     def outcome_counts(self) -> dict[str, int]:
-        """Counts per outcome category, in Fig. 3 legend order."""
+        """Counts per outcome category, in Fig. 3 legend order
+        (persistent runs have no outcome and are not counted)."""
         counts = {o.value: 0 for o in OUTCOME_ORDER}
         for r in self.records:
             if r.outcome is not None and not r.persistent:
                 counts[r.outcome] += 1
         return counts
 
-    def outcome_table(self) -> OutcomeTable:
-        """The Fig. 3 outcome table rebuilt from the records."""
-        table = OutcomeTable(self.spec.component or "-", self.spec.benchmark)
-        for r in self.records:
-            table.total += 1
-            if r.persistent:
-                table.persistent += 1
-            elif r.outcome is not None:
-                o = Outcome(r.outcome)
-                table.counts[o] = table.counts.get(o, 0) + 1
-        return table
+    def rate(self, outcome: Outcome) -> BinomialEstimate:
+        """Rate of one outcome category over all runs.
+
+        Persistent runs count toward the denominator and fold into
+        Vanished (conservative, per the paper's Sec. 4.2).
+        """
+        n = self.outcome_counts()[outcome.value]
+        if outcome is Outcome.VANISHED:
+            n += self.persistent
+        return BinomialEstimate(n, self._samples())
 
     @property
     def erroneous(self) -> BinomialEstimate:
         """Probability of a non-Vanished outcome (the paper's headline)."""
-        return self.outcome_table().erroneous
+        bad = sum(
+            n
+            for name, n in self.outcome_counts().items()
+            if name != Outcome.VANISHED.value
+        )
+        return BinomialEstimate(bad, self._samples())
+
+    def row(self) -> list[str]:
+        """One Fig. 3 row: benchmark + the five category rates."""
+        return [self.spec.benchmark] + [
+            f"{self.rate(o).rate:.2%}" for o in OUTCOME_ORDER
+        ]
+
+    def _samples(self) -> int:
+        if not self.records:
+            raise ValueError("empty campaign cell")
+        return len(self.records)
 
     def masked_count(self) -> int:
         """Events the Protection filter masked (parity/ECC corrected)."""
@@ -172,29 +188,6 @@ class ExperimentResult:
             for r in self.records
             if r.recovered is False
         ]
-
-    def propagation_latencies(self) -> list[int]:
-        """Samples for the Fig. 8 CDF."""
-        return [
-            r.propagation_latency
-            for r in self.records
-            if r.propagation_latency is not None
-        ]
-
-    def rollback_distances(self) -> list[int]:
-        """Samples for the Fig. 9 CDF."""
-        return [
-            r.rollback_distance
-            for r in self.records
-            if r.rollback_distance is not None
-        ]
-
-    def recovery_cycles(self) -> list[int]:
-        """All QRR replay durations observed across the campaign."""
-        out: list[int] = []
-        for r in self.records:
-            out.extend(r.recovery_cycles)
-        return out
 
     # ------------------------------------------------------------------
     # serialization
@@ -224,9 +217,8 @@ class ExperimentResult:
             base["outcome_counts"] = self.outcome_counts()
             base["persistent"] = self.persistent
             base["masked"] = self.masked_count()
-            table = self.outcome_table()
-            if table.total:
-                est = table.erroneous
+            if self.records:
+                est = self.erroneous
                 base["erroneous"] = {
                     "successes": est.successes,
                     "samples": est.samples,

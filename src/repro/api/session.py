@@ -19,7 +19,7 @@ import zlib
 
 from repro.api.result import ExperimentResult, RunRecord
 from repro.api.spec import ExperimentSpec
-from repro.injection.campaign import CampaignResult, InjectionCampaign
+from repro.injection.campaign import InjectionCampaign
 from repro.mixedmode.platform import (
     CosimConfig,
     GoldenRun,
@@ -27,7 +27,7 @@ from repro.mixedmode.platform import (
     MixedModePlatform,
     compute_golden,
 )
-from repro.qrr.campaign import QrrCampaign, QrrCampaignResult
+from repro.qrr.campaign import QrrCampaign
 from repro.system.machine import DEFAULT_ENGINE, Machine
 from repro.workloads import build_workload
 
@@ -109,18 +109,22 @@ class Session:
         return result
 
     # ------------------------------------------------------------------
-    # full-fidelity access (in-process callers: figures, benches)
+    # full-fidelity access (in-process callers: traces, co-sim tests)
     # ------------------------------------------------------------------
-    def campaign(self, spec: ExperimentSpec) -> CampaignResult:
-        """The raw injection-campaign result with live ``InjectionRun``s.
+    def campaign(self, spec: ExperimentSpec) -> list[InjectionRun]:
+        """The live ``InjectionRun``s of an injection spec's campaign.
 
-        The canonical schema keeps everything the analyses need, but
-        in-process callers (e.g. the figure drivers) can use this to
-        reach the full co-simulation records.
+        :meth:`run` builds its canonical records from exactly these runs;
+        in-process callers use them to reach the full co-simulation
+        record (``cosim``, warm-up length, the ``FaultEvent`` object).
         """
         if spec.mode != "injection":
             raise ValueError(f"campaign() needs an injection spec, got {spec.mode!r}")
-        platform = self.platform(spec)
+        return self._campaign(spec, self.platform(spec))
+
+    def _campaign(
+        self, spec: ExperimentSpec, platform: MixedModePlatform
+    ) -> list[InjectionRun]:
         return InjectionCampaign(
             platform, spec.component, seed=spec.seed, fault=spec.fault_model()
         ).run(spec.n)
@@ -129,12 +133,11 @@ class Session:
     # mode drivers
     # ------------------------------------------------------------------
     def _run_injection(self, spec: ExperimentSpec) -> ExperimentResult:
+        # one platform lookup per cell: the serve pool counts each one
         platform = self.platform(spec)
-        raw = InjectionCampaign(
-            platform, spec.component, seed=spec.seed, fault=spec.fault_model()
-        ).run(spec.n)
         records = [
-            _record_from_injection(i, run) for i, run in enumerate(raw.runs)
+            _record_from_injection(i, run)
+            for i, run in enumerate(self._campaign(spec, platform))
         ]
         return ExperimentResult(
             spec=spec, records=records, golden_cycles=platform.golden.cycles
@@ -142,20 +145,9 @@ class Session:
 
     def _run_qrr(self, spec: ExperimentSpec) -> ExperimentResult:
         platform = self.platform(spec)
-        raw: QrrCampaignResult = QrrCampaign(platform, spec.component).run(
+        records = QrrCampaign(platform, spec.component).run(
             spec.n, seed=spec.seed
         )
-        records = [
-            RunRecord(
-                index=i,
-                instance=run.instance,
-                injection_cycle=run.injection_cycle,
-                detected=run.detected,
-                recovered=run.recovered,
-                recovery_cycles=list(run.recovery_cycles),
-            )
-            for i, run in enumerate(raw.runs)
-        ]
         return ExperimentResult(
             spec=spec, records=records, golden_cycles=platform.golden.cycles
         )
@@ -203,7 +195,7 @@ class Session:
 
 
 # ----------------------------------------------------------------------
-# record converters
+# record converter
 # ----------------------------------------------------------------------
 def _record_from_injection(index: int, run: InjectionRun) -> RunRecord:
     return RunRecord(

@@ -45,6 +45,7 @@ import json
 import os
 import platform as _platform
 import random
+import statistics
 import time
 import zlib
 from dataclasses import dataclass
@@ -213,10 +214,10 @@ def _bench_qrr(engine: str, settings: BenchSettings, log) -> dict:
 
     def once():
         before = plat.machine.cycles_advanced
-        result = QrrCampaign(plat, "l2c").run(settings.qrr_runs, seed=BENCH_SEED)
+        records = QrrCampaign(plat, "l2c").run(settings.qrr_runs, seed=BENCH_SEED)
         stats["cycles"] = plat.machine.cycles_advanced - before
-        stats["recovered"] = result.recovered
-        return result
+        stats["recovered"] = sum(1 for r in records if r.recovered)
+        return records
 
     seconds, samples, _ = _timed(once, settings.repeats)
     out = _throughput(stats["cycles"], seconds)
@@ -564,6 +565,23 @@ def fault_overhead_guard(
     }
 
 
+#: Fewest off/on pairs the obs guard times (its median needs enough
+#: pairs that one disturbed pair cannot decide the verdict).
+OBS_GUARD_PAIRS = 7
+
+
+def paired_overhead(off: list[float], on: list[float]) -> float:
+    """The median over pairs of ``on[i] / off[i] - 1``.
+
+    Each pair is timed back to back, so slow host drift scales both
+    sides of a pair alike and cancels in its ratio; the median then
+    ignores the odd pair a scheduling hiccup disturbed.
+    """
+    if not off or len(off) != len(on):
+        raise ValueError("paired timings need equal, non-empty lists")
+    return statistics.median(b / a for a, b in zip(off, on)) - 1.0
+
+
 def obs_overhead_guard(
     settings: "BenchSettings | None" = None,
     log=lambda line: None,
@@ -577,7 +595,10 @@ def obs_overhead_guard(
     registry counters, fault accounting, session timers) -- and reports
     the relative overhead of the enabled path.  Both cells execute
     bit-identical simulation work (obs never consumes campaign RNG), so
-    the ratio isolates instrumentation cost.  CI gates this at 10%
+    the ratio isolates instrumentation cost.  The cells run as at least
+    :data:`OBS_GUARD_PAIRS` off/on pairs, alternating which side goes
+    first, and the overhead is :func:`paired_overhead` of their
+    timings.  CI gates this at 10%
     (``repro bench --obs-guard``).  The obs-*off* budget (<= 2% vs the
     pre-obs code) is enforced separately by the committed-baseline
     throughput gate: the disabled path's only additions are is-None
@@ -611,16 +632,13 @@ def obs_overhead_guard(
                 settings.injections
             )
 
-        # interleaved best-of to cancel host drift, like the fault guard
-        repeats = max(5, settings.repeats)
-        best_off = best_on = None
-        for _ in range(repeats):
-            seconds, _, _ = _timed(run_off, 1)
-            if best_off is None or seconds < best_off:
-                best_off = seconds
-            seconds, _, _ = _timed(run_on, 1)
-            if best_on is None or seconds < best_on:
-                best_on = seconds
+        off_s: list[float] = []
+        on_s: list[float] = []
+        sides = [(run_off, off_s), (run_on, on_s)]
+        for _ in range(max(OBS_GUARD_PAIRS, settings.repeats)):
+            for run, samples in sides:
+                samples.append(_timed(run, 1)[0])
+            sides.reverse()
     finally:
         if prev_enabled:
             obs.enable()
@@ -633,16 +651,18 @@ def obs_overhead_guard(
             os.environ.pop("REPRO_OBS", None)
         else:
             os.environ["REPRO_OBS"] = prev_env
-    overhead = best_on / best_off - 1.0
+    overhead = paired_overhead(off_s, on_s)
+    off_median = statistics.median(off_s)
+    on_median = statistics.median(on_s)
     log(
-        f"obs guard[{engine}]: off {best_off * 1e3:.1f}ms vs on "
-        f"{best_on * 1e3:.1f}ms over {settings.injections} runs "
-        f"({overhead:+.1%})"
+        f"obs guard[{engine}]: median off {off_median * 1e3:.1f}ms vs on "
+        f"{on_median * 1e3:.1f}ms over {settings.injections} runs, "
+        f"{len(off_s)} pairs ({overhead:+.1%})"
     )
     return {
         "engine": engine,
-        "off_seconds": round(best_off, 6),
-        "on_seconds": round(best_on, 6),
+        "off_seconds": round(off_median, 6),
+        "on_seconds": round(on_median, 6),
         "runs": settings.injections,
         "overhead": round(overhead, 4),
     }

@@ -130,12 +130,11 @@ def cmd_campaign(args) -> int:
     if args.json:
         _emit_json(result, args.json)
         return 0
-    table = result.outcome_table()
     headers = ["benchmark"] + [o.value for o in OUTCOME_ORDER] + ["erroneous"]
-    row = table.row() + [str(table.erroneous)]
+    row = result.row() + [str(result.erroneous)]
     title = f"{args.component.upper()} campaign (fault: {spec.fault or DEFAULT_FAULT})"
     print(render_table(headers, [row], title=title))
-    print(f"persistent runs (excluded from rates): {table.persistent}")
+    print(f"persistent runs (excluded from rates): {result.persistent}")
     masked = result.masked_count()
     if masked:
         print(f"events masked by parity/ECC protection: {masked}")
@@ -168,7 +167,44 @@ def cmd_qrr(args) -> int:
     return 0 if ok else 1
 
 
+class _DropAfterBrokenPipe:
+    """Stands in for stdout and drops every write once its reader has
+    gone (``repro sweep ... | head``), so the command still finishes and
+    lands its file outputs."""
+
+    def __init__(self, stream) -> None:
+        self._stream = stream
+        self._gone = False
+
+    def write(self, text: str) -> int:
+        if not self._gone:
+            try:
+                self._stream.write(text)
+            except BrokenPipeError:
+                self._gone = True
+        return len(text)
+
+    def flush(self) -> None:
+        if not self._gone:
+            try:
+                self._stream.flush()
+            except BrokenPipeError:
+                self._gone = True
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+
 def cmd_sweep(args) -> int:
+    stdout = sys.stdout
+    sys.stdout = _DropAfterBrokenPipe(stdout)
+    try:
+        return _sweep(args)
+    finally:
+        sys.stdout = stdout
+
+
+def _sweep(args) -> int:
     from repro.resilience import GracefulShutdown, SweepJournal
 
     if args.fault and args.mode != "injection":
@@ -318,16 +354,23 @@ def cmd_sweep(args) -> int:
             )
         print(summary)
 
-    _print_sweep_tables(results)
+    document = None
     if args.json:
-        payload = {
-            "schema_version": results[0].to_dict()["schema_version"],
-            "grid": grid.to_dict(),
-            "results": [r.to_dict() for r in results],
-        }
-        _emit_text(dumps_canonical(payload), args.json)
+        document = dumps_canonical(
+            {
+                "schema_version": results[0].to_dict()["schema_version"],
+                "grid": grid.to_dict(),
+                "results": [r.to_dict() for r in results],
+            }
+        )
         if args.json != "-":
-            print(f"wrote {len(results)} cell results to {args.json}")
+            # before any table, so the file never waits on stdout
+            _emit_text(document, args.json)
+    _print_sweep_tables(results)
+    if args.json == "-":
+        _emit_text(document, "-")
+    elif args.json:
+        print(f"wrote {len(results)} cell results to {args.json}")
     return 0
 
 
@@ -460,10 +503,7 @@ def _print_sweep_tables(results: list[ExperimentResult]) -> None:
                 + [o.value for o in OUTCOME_ORDER]
                 + ["erroneous"]
             )
-            rows = []
-            for r in cell_results:
-                table = r.outcome_table()
-                rows.append(table.row() + [str(table.erroneous)])
+            rows = [r.row() + [str(r.erroneous)] for r in cell_results]
             title = f"{(component or '-').upper()} sweep (seed {seed})"
         elif mode == "qrr":
             headers = ["benchmark", "recovered", "detected", "failures"]

@@ -1,15 +1,9 @@
-"""Soft-error injection campaigns and result aggregation (paper Sec. 3)."""
+"""Soft-error injection campaigns and persistence probes (paper Sec. 3)."""
 
-from repro.injection.campaign import (
-    CampaignResult,
-    InjectionCampaign,
-    OutcomeTable,
-)
+from repro.injection.campaign import InjectionCampaign
 from repro.injection.persistence import PersistenceProbe
 
 __all__ = [
-    "CampaignResult",
     "InjectionCampaign",
-    "OutcomeTable",
     "PersistenceProbe",
 ]

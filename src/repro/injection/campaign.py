@@ -1,132 +1,19 @@
 """Injection campaigns over (component x benchmark) cells (Fig. 3).
 
 A campaign runs N independent injections through the mixed-mode platform
-and aggregates the five outcome categories.  Runs whose errors persist in
-microarchitectural state past the co-simulation cap are *not* reported as
-erroneous (paper Sec. 4.2) -- they are tallied separately and fold into
-the Vanished bucket for the Fig. 3 rates, exactly as the paper does.
+and returns one live :class:`~repro.mixedmode.platform.InjectionRun` per
+injection.  Aggregation into the five outcome categories happens once,
+on the canonical :class:`~repro.api.result.ExperimentResult` the session
+builds from these runs.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
 
 from repro.faults.models import FaultModel, SingleBitFlip
 from repro.mixedmode.platform import InjectionRun, MixedModePlatform
-from repro.system.outcome import OUTCOME_ORDER, Outcome
-from repro.utils.stats import BinomialEstimate
-
-
-@dataclass
-class OutcomeTable:
-    """Outcome counts for one (component, benchmark) campaign cell."""
-
-    component: str
-    benchmark: str
-    counts: dict[Outcome, int] = field(default_factory=dict)
-    persistent: int = 0
-    total: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "component": self.component,
-            "benchmark": self.benchmark,
-            "counts": {o.value: n for o, n in self.counts.items()},
-            "persistent": self.persistent,
-            "total": self.total,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OutcomeTable":
-        return cls(
-            component=data["component"],
-            benchmark=data["benchmark"],
-            counts={
-                Outcome(name): n
-                for name, n in data.get("counts", {}).items()
-            },
-            persistent=data.get("persistent", 0),
-            total=data.get("total", 0),
-        )
-
-    def add(self, run: InjectionRun) -> None:
-        self.total += 1
-        if run.persistent:
-            self.persistent += 1
-            return
-        self.counts[run.outcome] = self.counts.get(run.outcome, 0) + 1
-
-    def rate(self, outcome: Outcome) -> BinomialEstimate:
-        """Rate of one outcome category over all runs.
-
-        Persistent runs count toward the denominator and fold into
-        Vanished (conservative, per the paper).
-        """
-        if self.total == 0:
-            raise ValueError("empty campaign cell")
-        n = self.counts.get(outcome, 0)
-        if outcome is Outcome.VANISHED:
-            n += self.persistent
-        return BinomialEstimate(n, self.total)
-
-    @property
-    def erroneous(self) -> BinomialEstimate:
-        """Probability of a non-Vanished outcome (the paper's headline)."""
-        if self.total == 0:
-            raise ValueError("empty campaign cell")
-        bad = sum(
-            c for o, c in self.counts.items() if o is not Outcome.VANISHED
-        )
-        return BinomialEstimate(bad, self.total)
-
-    def row(self) -> list[str]:
-        """One Fig. 3 row: benchmark + the five category rates."""
-        cells = [self.benchmark]
-        for outcome in OUTCOME_ORDER:
-            cells.append(f"{self.rate(outcome).rate:.2%}")
-        return cells
-
-
-@dataclass
-class CampaignResult:
-    """All runs plus the aggregated table for one campaign cell."""
-
-    table: OutcomeTable
-    runs: list[InjectionRun] = field(default_factory=list)
-
-    def propagation_latencies(self) -> list[int]:
-        """Samples for the Fig. 8 CDF."""
-        return [
-            r.propagation_latency
-            for r in self.runs
-            if r.propagation_latency is not None
-        ]
-
-    def rollback_distances(self) -> list[int]:
-        """Samples for the Fig. 9 CDF."""
-        return [
-            r.rollback_distance
-            for r in self.runs
-            if r.rollback_distance is not None
-        ]
-
-    def to_dict(self) -> dict:
-        """Lossless plain-dict form: the table plus every run's record,
-        fault-event metadata included (aggregation used to drop the
-        flipped locations)."""
-        return {
-            "table": self.table.to_dict(),
-            "runs": [run.to_dict() for run in self.runs],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CampaignResult":
-        return cls(
-            table=OutcomeTable.from_dict(data["table"]),
-            runs=[InjectionRun.from_dict(r) for r in data.get("runs", ())],
-        )
 
 
 class InjectionCampaign:
@@ -149,25 +36,24 @@ class InjectionCampaign:
         self.seed = seed
         self.fault = fault if fault is not None else SingleBitFlip()
 
-    def run(self, n_injections: int) -> CampaignResult:
+    def run(self, n_injections: int) -> list[InjectionRun]:
         # stable digest, NOT hash(): str hashes vary across interpreter
         # runs under PYTHONHASHSEED randomization, which would make
         # campaigns unreproducible across processes
         rng = random.Random(
             (self.seed << 16) ^ (zlib.crc32(self.component.encode()) & 0xFFFF)
         )
-        table = OutcomeTable(self.component, self.platform.benchmark)
-        result = CampaignResult(table)
+        runs = []
         for _ in range(n_injections):
             event = self.fault.sample_event(self.platform, self.component, rng)
-            run = self.platform.run_injection(
-                self.component,
-                event.cycle,
-                instance=event.instance,
-                rng=rng,
-                fault=self.fault,
-                event=event,
+            runs.append(
+                self.platform.run_injection(
+                    self.component,
+                    event.cycle,
+                    instance=event.instance,
+                    rng=rng,
+                    fault=self.fault,
+                    event=event,
+                )
             )
-            table.add(run)
-            result.runs.append(run)
-        return result
+        return runs

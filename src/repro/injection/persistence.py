@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.mixedmode.adapters import make_adapter
 from repro.mixedmode.platform import MixedModePlatform
 from repro.utils.cdf import Cdf
 
@@ -57,11 +56,9 @@ class PersistenceProbe:
         """Cycles until no residual mismatch remains (or ``cap``)."""
         plat = self.platform
         machine = plat.machine
-        _c, snap = plat.golden.snapshot_at_or_before(injection_cycle)
-        machine.restore(snap)
-        machine.run_until_cycle(injection_cycle)
-        adapter = plat._attach_quiesced(self.component, instance)
-        machine.run_until_cycle(machine.cycle + plat.cosim.warmup_min)
+        adapter = plat.prepare(
+            self.component, instance, injection_cycle, plat.cosim.warmup_min
+        )
         adapter.flip(target_bit)
         elapsed = 0
         check = plat.cosim.check_interval

@@ -185,18 +185,6 @@ class CosimResult:
             "ended_by": self.ended_by,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CosimResult":
-        return cls(
-            cosim_cycles=data.get("cosim_cycles", 0),
-            vanished=data.get("vanished", False),
-            persistent=data.get("persistent", False),
-            propagated_cycle=data.get("propagated_cycle"),
-            corrupted_words=list(data.get("corrupted_words", ())),
-            residual_at_exit=data.get("residual_at_exit", 0),
-            ended_by=data.get("ended_by", ""),
-        )
-
 
 @dataclass
 class InjectionRun:
@@ -241,26 +229,6 @@ class InjectionRun:
                 self.fault_event.to_dict() if self.fault_event else None
             ),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InjectionRun":
-        fault = data.get("fault_event")
-        outcome = data.get("outcome")
-        return cls(
-            component=data["component"],
-            instance=data.get("instance", 0),
-            benchmark=data.get("benchmark", ""),
-            injection_cycle=data["injection_cycle"],
-            flip_location=tuple(data["flip_location"]),
-            warmup=data.get("warmup", 0),
-            outcome=Outcome(outcome) if outcome is not None else None,
-            persistent=data.get("persistent", False),
-            cosim=CosimResult.from_dict(data.get("cosim", {})),
-            propagation_latency=data.get("propagation_latency"),
-            rollback_distance=data.get("rollback_distance"),
-            ran_phase3=data.get("ran_phase3", False),
-            fault_event=FaultEvent.from_dict(fault) if fault else None,
-        )
 
 
 def compute_golden(
@@ -448,13 +416,7 @@ class MixedModePlatform:
                 else 0
             )
         machine = self.machine
-
-        # ---- phase 1: restore, fast-forward, quiesce, attach, warm up ----
-        _snap_cycle, snap = self.golden.snapshot_at_or_before(injection_cycle)
-        machine.restore(snap)
-        machine.run_until_cycle(injection_cycle)
-        adapter = self._attach_quiesced(component, instance)
-        machine.run_until_cycle(machine.cycle + warmup)
+        adapter = self.prepare(component, instance, injection_cycle, warmup)
 
         # ---- phase 2: inject and co-simulate ------------------------------
         if fault is not None:
@@ -596,6 +558,30 @@ class MixedModePlatform:
         return int(self.golden.cycles * self.cosim.hang_factor) + 50_000
 
     # ------------------------------------------------------------------
+    def prepare(
+        self,
+        component: str,
+        instance: int,
+        injection_cycle: int,
+        warmup: int,
+        build=None,
+    ):
+        """Phase 1 (Fig. 2): restore the golden snapshot preceding
+        ``injection_cycle``, fast-forward to it, quiesce the target and
+        attach its RTL (see :meth:`_attach_quiesced` for ``build``), then
+        warm up for ``warmup`` cycles.  Returns the attached adapter or
+        server; every injection, QRR and persistence run starts here."""
+        machine = self.machine
+        _snap_cycle, snap = self.golden.snapshot_at_or_before(injection_cycle)
+        machine.restore(snap)
+        machine.run_until_cycle(injection_cycle)
+        if build is None:  # the two-argument call, which tests wrap
+            adapter = self._attach_quiesced(component, instance)
+        else:
+            adapter = self._attach_quiesced(component, instance, build)
+        machine.run_until_cycle(machine.cycle + warmup)
+        return adapter
+
     def _attach_quiesced(self, component: str, instance: int, build=None):
         """Wait for the target component to go idle, then swap in the RTL
         that ``build(machine, component, instance)`` returns (default:

@@ -19,7 +19,7 @@ from repro.mixedmode.platform import MixedModePlatform
 from repro.mixedmode.warmup import _FullCosimBank
 from repro.soc.geometry import T2_GEOMETRY
 from repro.system.machine import Machine, MachineConfig
-from repro.system.outcome import Outcome
+from repro.system.outcome import Outcome, classify_outcome
 from repro.utils.stats import BinomialEstimate
 from repro.workloads import build_workload
 
@@ -112,7 +112,7 @@ class ValidationExperiment:
             result = machine.run(
                 hang_factor_cycles=golden.cycles * 4 + 50_000
             )
-            outcome = self._classify(result, golden.output)
+            outcome = classify_outcome(result, golden.output, False)
             rates.add(self._bucket(outcome))
         return rates
 
@@ -123,16 +123,6 @@ class ValidationExperiment:
         machine.l2banks[bank] = server
         machine.uncore_changed()
         return machine
-
-    @staticmethod
-    def _classify(result, golden_output) -> Outcome:
-        if result.trap is not None:
-            return Outcome.UT
-        if result.hung:
-            return Outcome.HANG
-        if result.output != golden_output:
-            return Outcome.OMM
-        return Outcome.VANISHED
 
     # ------------------------------------------------------------------
     def run_mixed(self, n_injections: int) -> ValidationRates:
@@ -145,9 +135,8 @@ class ValidationExperiment:
             image=self.image,
         )
         campaign = InjectionCampaign(platform, "l2c", seed=self.seed)
-        result = campaign.run(n_injections)
         rates = ValidationRates("mixed")
-        for run in result.runs:
+        for run in campaign.run(n_injections):
             if run.persistent or run.outcome is None:
                 rates.add(None)
             else:

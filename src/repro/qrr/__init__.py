@@ -16,11 +16,10 @@ from repro.qrr.coverage import (
 )
 from repro.qrr.record import RecordEntry, RecordTable
 from repro.qrr.servers import QrrL2cServer, QrrMcuServer
-from repro.qrr.campaign import QrrCampaign, QrrCampaignResult
+from repro.qrr.campaign import QrrCampaign
 
 __all__ = [
     "QrrCampaign",
-    "QrrCampaignResult",
     "QrrCoverage",
     "QrrL2cServer",
     "QrrMcuServer",

@@ -10,40 +10,10 @@ handled analytically via :func:`repro.qrr.coverage.improvement_factor`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from repro.mixedmode.platform import MixedModePlatform
 from repro.qrr.servers import QrrL2cServer, QrrMcuServer
 from repro.rtl.registers import FlipFlopClass
-
-
-@dataclass
-class QrrRun:
-    """Record of one QRR-protected injection run."""
-
-    instance: int
-    injection_cycle: int
-    detected: bool
-    recovered: bool
-    recovery_cycles: list[int] = field(default_factory=list)
-
-
-@dataclass
-class QrrCampaignResult:
-    """Aggregate of one QRR injection campaign."""
-
-    component: str
-    benchmark: str
-    injections: int = 0
-    detected: int = 0
-    recovered: int = 0
-    failures: list[tuple] = field(default_factory=list)
-    recovery_cycles: list[int] = field(default_factory=list)
-    runs: list[QrrRun] = field(default_factory=list)
-
-    @property
-    def max_recovery_cycles(self) -> int:
-        return max(self.recovery_cycles, default=0)
 
 
 class QrrCampaign:
@@ -77,44 +47,46 @@ class QrrCampaign:
             self._covered = covered
         return self._covered
 
-    def run(self, n_injections: int, seed: int = 0) -> QrrCampaignResult:
+    def run(self, n_injections: int, seed: int = 0) -> "list[RunRecord]":
+        """One canonical run record per injection."""
+        # imported here: repro.api's session imports this module
+        from repro.api.result import RunRecord
+
         plat = self.platform
-        result = QrrCampaignResult(self.component, plat.benchmark)
         rng = random.Random(seed)
-        for _ in range(n_injections):
+        records = []
+        for index in range(n_injections):
             if self.component == "l2c":
                 instance = rng.randrange(plat.machine_config.l2_banks)
             else:
                 instance = rng.randrange(plat.machine_config.mcus)
             cycle = rng.randrange(1, max(2, plat.golden.cycles - 1))
-            run_ok, rec_cycles, detected = self._one_run(instance, cycle, rng)
-            result.injections += 1
-            result.detected += int(detected)
-            if run_ok:
-                result.recovered += 1
-            else:
-                result.failures.append((instance, cycle))
-            result.recovery_cycles.extend(rec_cycles)
-            result.runs.append(
-                QrrRun(instance, cycle, bool(detected), run_ok, list(rec_cycles))
+            recovered, recovery_cycles, detected = self._one_run(
+                instance, cycle, rng
             )
-        return result
+            records.append(
+                RunRecord(
+                    index=index,
+                    instance=instance,
+                    injection_cycle=cycle,
+                    detected=bool(detected),
+                    recovered=recovered,
+                    recovery_cycles=list(recovery_cycles),
+                )
+            )
+        return records
 
     def _one_run(self, instance: int, cycle: int, rng):
         plat = self.platform
         machine = plat.machine
-        _snap_cycle, snap = plat.golden.snapshot_at_or_before(cycle)
-        machine.restore(snap)
-        machine.run_until_cycle(cycle)
-        # quiesce the component, then swap in the QRR-protected RTL server
-        server = plat._attach_quiesced(
-            self.component, instance, build=_build_server
-        )
         # warm up so the record table holds live in-flight requests
         warmup = plat.cosim.warmup_min + rng.randrange(
             max(1, plat.cosim.warmup_jitter)
         )
-        machine.run_until_cycle(machine.cycle + warmup)
+        # the QRR-protected RTL server stands in for the component
+        server = plat.prepare(
+            self.component, instance, cycle, warmup, build=_build_server
+        )
         # flip a parity-covered bit; detection fires the same cycle
         covered = self._covered_bits(server)
         bit = covered[rng.randrange(len(covered))]

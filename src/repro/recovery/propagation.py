@@ -10,8 +10,8 @@ cores or a core first loads a corrupted memory word.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from repro.injection.campaign import CampaignResult
 from repro.utils.cdf import Cdf
 
 
@@ -23,13 +23,18 @@ class PropagationAnalysis:
     samples: list[int] = field(default_factory=list)
 
     @classmethod
-    def from_campaigns(
-        cls, component: str, campaigns: list[CampaignResult]
-    ) -> "PropagationAnalysis":
-        analysis = cls(component)
-        for campaign in campaigns:
-            analysis.samples.extend(campaign.propagation_latencies())
-        return analysis
+    def from_runs(cls, component: str, runs: Iterable) -> "PropagationAnalysis":
+        """Samples from any runs carrying ``propagation_latency``
+        (live ``InjectionRun``s or canonical ``RunRecord``s); runs
+        without one are skipped."""
+        return cls(
+            component,
+            [
+                r.propagation_latency
+                for r in runs
+                if r.propagation_latency is not None
+            ],
+        )
 
     def cdf(self) -> Cdf:
         return Cdf(self.samples)

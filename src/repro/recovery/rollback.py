@@ -14,8 +14,8 @@ the corrupted location.  The required distance for one error is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from repro.injection.campaign import CampaignResult
 from repro.utils.cdf import Cdf
 
 
@@ -27,13 +27,18 @@ class RollbackAnalysis:
     samples: list[int] = field(default_factory=list)
 
     @classmethod
-    def from_campaigns(
-        cls, component: str, campaigns: list[CampaignResult]
-    ) -> "RollbackAnalysis":
-        analysis = cls(component)
-        for campaign in campaigns:
-            analysis.samples.extend(campaign.rollback_distances())
-        return analysis
+    def from_runs(cls, component: str, runs: Iterable) -> "RollbackAnalysis":
+        """Samples from any runs carrying ``rollback_distance``
+        (live ``InjectionRun``s or canonical ``RunRecord``s); runs
+        without one are skipped."""
+        return cls(
+            component,
+            [
+                r.rollback_distance
+                for r in runs
+                if r.rollback_distance is not None
+            ],
+        )
 
     def cdf(self) -> Cdf:
         return Cdf(self.samples)

@@ -14,6 +14,7 @@ from repro.api import (
     Session,
     make_executor,
 )
+from repro.api.session import _record_from_injection
 from repro.system.machine import MachineConfig
 from repro.workloads import ALL_BENCHMARKS, PCIE_BENCHMARKS
 
@@ -152,13 +153,13 @@ class TestSessionAndResults:
         path = result.save(tmp_path / "golden.json")
         assert ExperimentResult.load(path) == result
 
-    def test_outcome_table_matches_raw_campaign(self, session):
+    def test_records_match_raw_campaign(self, session):
         spec = small_spec(n=4)
-        table = session.run(spec).outcome_table()
-        raw = session.campaign(spec).table
-        assert table.counts == raw.counts
-        assert table.persistent == raw.persistent
-        assert table.total == raw.total
+        records = [
+            _record_from_injection(i, run)
+            for i, run in enumerate(session.campaign(spec))
+        ]
+        assert records == session.run(spec).records
 
     def test_platform_cache_shared_across_components(self, session):
         assert session.platform(small_spec()) is session.platform(

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.bench import (
     BenchSettings,
     check_against_baseline,
@@ -10,7 +12,7 @@ from repro.bench import (
     obs_overhead_guard,
     run_benches,
 )
-from repro.bench.harness import save_bench
+from repro.bench.harness import paired_overhead, save_bench
 
 
 def _doc(golden_cps, injection_cps=50_000.0, reference_cps=None):
@@ -200,6 +202,31 @@ class TestObsOverheadGuard:
         was = obs.enabled()
         obs_overhead_guard(BenchSettings(injections=2, repeats=1))
         assert obs.enabled() == was
+
+
+class TestPairedOverhead:
+    """The obs guard's statistic against its CI bound (10%)."""
+
+    OFF = [1.00, 1.04, 0.97, 1.10, 0.99, 1.02, 1.01]
+
+    def test_uniform_slowdown_fails(self):
+        on = [t * 1.15 for t in self.OFF]
+        assert paired_overhead(self.OFF, on) > 0.10
+
+    def test_one_outlier_pair_does_not_flip(self):
+        """One disturbed pair (here a lucky-fast obs-off repeat) decided
+        the best-of verdict; the median over pairs ignores it."""
+        on = [t * 1.02 for t in self.OFF]
+        off = list(self.OFF)
+        off[3] = 0.85
+        assert min(on) / min(off) - 1.0 > 0.10  # what best-of reported
+        assert paired_overhead(off, on) == pytest.approx(0.02)
+
+    def test_rejects_unpaired_timings(self):
+        with pytest.raises(ValueError):
+            paired_overhead([1.0, 1.0], [1.0])
+        with pytest.raises(ValueError):
+            paired_overhead([], [])
 
 
 class TestFaultOverheadGuard:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.injection.campaign import CampaignResult, InjectionCampaign, OutcomeTable
+from repro.api import ExperimentResult, ExperimentSpec, RunRecord
+from repro.injection.campaign import InjectionCampaign
 from repro.injection.persistence import PersistenceProbe
 from repro.mixedmode.platform import InjectionRun, CosimResult, MixedModePlatform
 from repro.recovery.checkpoint import IncrementalCheckpointModel
@@ -30,50 +31,57 @@ def fake_run(outcome=None, persistent=False, prop=None, roll=None):
     )
 
 
-class TestOutcomeTable:
+def fake_record(outcome=None, persistent=False, prop=None, roll=None):
+    return RunRecord(
+        index=0,
+        outcome=outcome.value if outcome is not None else None,
+        persistent=persistent,
+        propagation_latency=prop,
+        rollback_distance=roll,
+    )
+
+
+def cell(*records):
+    spec = ExperimentSpec(benchmark="fft", component="l2c")
+    return ExperimentResult(spec, list(records))
+
+
+class TestCellAggregates:
     def test_rates_sum_to_one(self):
-        table = OutcomeTable("l2c", "fft")
-        table.add(fake_run(Outcome.VANISHED))
-        table.add(fake_run(Outcome.UT))
-        table.add(fake_run(Outcome.OMM))
-        table.add(fake_run(persistent=True))
-        total = sum(table.rate(o).rate for o in OUTCOME_ORDER)
+        result = cell(
+            fake_record(Outcome.VANISHED),
+            fake_record(Outcome.UT),
+            fake_record(Outcome.OMM),
+            fake_record(persistent=True),
+        )
+        total = sum(result.rate(o).rate for o in OUTCOME_ORDER)
         assert total == pytest.approx(1.0)
 
     def test_persistent_folds_into_vanished(self):
-        table = OutcomeTable("l2c", "fft")
-        table.add(fake_run(persistent=True))
-        table.add(fake_run(Outcome.VANISHED))
-        assert table.rate(Outcome.VANISHED).rate == 1.0
-        assert table.persistent == 1
+        result = cell(fake_record(persistent=True), fake_record(Outcome.VANISHED))
+        assert result.rate(Outcome.VANISHED).rate == 1.0
+        assert result.persistent == 1
 
     def test_erroneous_counts_non_vanished(self):
-        table = OutcomeTable("l2c", "fft")
-        for o in (Outcome.UT, Outcome.HANG, Outcome.OMM, Outcome.ONA,
-                  Outcome.VANISHED):
-            table.add(fake_run(o))
-        assert table.erroneous.rate == pytest.approx(0.8)
+        result = cell(
+            *(
+                fake_record(o)
+                for o in (Outcome.UT, Outcome.HANG, Outcome.OMM, Outcome.ONA,
+                          Outcome.VANISHED)
+            )
+        )
+        assert result.erroneous.rate == pytest.approx(0.8)
 
     def test_empty_cell_raises(self):
         with pytest.raises(ValueError):
-            OutcomeTable("l2c", "fft").erroneous
+            cell().erroneous
+        with pytest.raises(ValueError):
+            cell().rate(Outcome.VANISHED)
 
     def test_row_format(self):
-        table = OutcomeTable("l2c", "fft")
-        table.add(fake_run(Outcome.VANISHED))
-        row = table.row()
+        row = cell(fake_record(Outcome.VANISHED)).row()
         assert row[0] == "fft"
         assert row[-1] == "100.00%"
-
-
-class TestCampaignResult:
-    def test_sample_collection(self):
-        table = OutcomeTable("l2c", "fft")
-        result = CampaignResult(table)
-        result.runs.append(fake_run(Outcome.OMM, prop=120, roll=4000))
-        result.runs.append(fake_run(Outcome.VANISHED))
-        assert result.propagation_latencies() == [120]
-        assert result.rollback_distances() == [4000]
 
 
 @pytest.fixture(scope="module")
@@ -84,11 +92,13 @@ def platform():
 class TestLiveCampaign:
     def test_small_campaign_runs(self, platform):
         campaign = InjectionCampaign(platform, "l2c", seed=1)
-        result = campaign.run(10)
-        assert result.table.total == 10
-        assert len(result.runs) == 10
+        runs = campaign.run(10)
+        assert len(runs) == 10
         # the overwhelming majority of flips vanish (paper: >97%)
-        assert result.table.rate(Outcome.VANISHED).rate >= 0.5
+        vanished = sum(
+            1 for r in runs if r.persistent or r.outcome is Outcome.VANISHED
+        )
+        assert vanished / len(runs) >= 0.5
 
     def test_persistence_probe_bounded(self, platform):
         probe = PersistenceProbe(platform, "l2c")
@@ -101,12 +111,17 @@ class TestLiveCampaign:
 
 
 class TestRecoveryAnalyses:
+    def test_sample_collection(self):
+        """Live runs and canonical records feed the analyses alike; runs
+        without a sample are skipped."""
+        for make in (fake_run, fake_record):
+            runs = [make(Outcome.OMM, prop=120, roll=4000), make(Outcome.VANISHED)]
+            assert PropagationAnalysis.from_runs("l2c", runs).samples == [120]
+            assert RollbackAnalysis.from_runs("l2c", runs).samples == [4000]
+
     def test_propagation_cdf(self):
-        table = OutcomeTable("l2c", "fft")
-        result = CampaignResult(table)
-        for lat in (10, 100, 1000, 100000):
-            result.runs.append(fake_run(Outcome.OMM, prop=lat))
-        analysis = PropagationAnalysis.from_campaigns("l2c", [result])
+        runs = [fake_run(Outcome.OMM, prop=lat) for lat in (10, 100, 1000, 100000)]
+        analysis = PropagationAnalysis.from_runs("l2c", runs)
         assert analysis.mean == pytest.approx((10 + 100 + 1000 + 100000) / 4)
         series = analysis.decade_series(max_exponent=5)
         assert series[-1][1] == pytest.approx(1.0)
@@ -117,11 +132,8 @@ class TestRecoveryAnalyses:
             PropagationAnalysis("l2c").mean
 
     def test_rollback_coverage_quantile(self):
-        table = OutcomeTable("l2c", "fft")
-        result = CampaignResult(table)
-        for dist in range(100, 1100, 100):
-            result.runs.append(fake_run(Outcome.OMM, roll=dist))
-        analysis = RollbackAnalysis.from_campaigns("l2c", [result])
+        runs = [fake_run(Outcome.OMM, roll=dist) for dist in range(100, 1100, 100)]
+        analysis = RollbackAnalysis.from_runs("l2c", runs)
         assert analysis.distance_for_coverage(0.99) >= 900
 
 

@@ -147,6 +147,29 @@ class TestCommands:
         ])
         assert rc == 2
 
+    def test_sweep_json_file_survives_closed_stdout(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """``repro sweep ... --json FILE | head``: a reader that closes
+        stdout early must not cost the file."""
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError
+
+            def flush(self):
+                raise BrokenPipeError
+
+        argv = [
+            "sweep", "--components", "l2c", "--benchmarks", "fft",
+            "--n", "2", *SMALL,
+        ]
+        normal, piped = tmp_path / "normal.json", tmp_path / "piped.json"
+        assert main([*argv, "--json", str(normal)]) == 0
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert main([*argv, "--json", str(piped)]) == 0
+        assert piped.read_bytes() == normal.read_bytes()
+
     def test_sweep_parallel_matches_serial(self, capsys, tmp_path):
         argv = [
             "sweep", "--components", "l2c", "--benchmarks", "fft",

@@ -28,7 +28,6 @@ from repro.faults import (
     fault_table,
     parse_fault,
 )
-from repro.injection.campaign import CampaignResult
 from repro.system.machine import MachineConfig
 
 #: small, fast geometry shared by the fault tests (same as test_api)
@@ -277,15 +276,15 @@ class TestCampaigns:
         assert result.persistent == result.injections
 
     def test_stuck_hold_delays_the_exit(self, session):
-        raw = session.campaign(small_spec(fault="stuck:hold=400"))
+        runs = session.campaign(small_spec(fault="stuck:hold=400"))
         check = session.platform(small_spec()).cosim.check_interval
-        for run in raw.runs:
+        for run in runs:
             assert run.cosim.cosim_cycles >= 400
             assert run.cosim.cosim_cycles % check == 0
 
     def test_flicker_window_delays_the_exit(self, session):
-        raw = session.campaign(small_spec(fault="flicker:period=20,window=600"))
-        for run in raw.runs:
+        runs = session.campaign(small_spec(fault="flicker:period=20,window=600"))
+        for run in runs:
             assert run.cosim.cosim_cycles >= 600
 
     def test_sram_double_bit_corrupts_architected_state(self, session):
@@ -353,23 +352,27 @@ class TestCampaigns:
 
 
 # ----------------------------------------------------------------------
-# campaign-result serialization (fault metadata survives aggregation)
+# result serialization (fault metadata survives aggregation)
 # ----------------------------------------------------------------------
-class TestCampaignResultRoundTrip:
+class TestResultRoundTrip:
     def test_lossless_round_trip(self, session):
-        raw = session.campaign(small_spec(fault="mbu:k=2"))
-        clone = CampaignResult.from_dict(
-            json.loads(json.dumps(raw.to_dict()))
+        spec = small_spec(fault="mbu:k=2")
+        result = session.run(spec)
+        clone = ExperimentResult.from_dict(
+            json.loads(json.dumps(result.to_dict()))
         )
-        assert clone.table == raw.table
-        assert clone.runs == raw.runs
+        assert clone == result
+        assert clone.outcome_counts() == result.outcome_counts()
+        assert clone.persistent == result.persistent
         # the flip locations and fault events survive aggregation
-        assert [r.flip_location for r in clone.runs] == [
-            r.flip_location for r in raw.runs
+        runs = session.campaign(spec)
+        assert [r.flip_location for r in clone.records] == [
+            r.flip_location for r in runs
         ]
-        assert [r.fault_event for r in clone.runs] == [
-            r.fault_event for r in raw.runs
+        assert [r.fault for r in clone.records] == [
+            r.fault_event.to_dict() for r in runs
         ]
+        assert all(len(r.fault["locations"]) == 2 for r in clone.records)
 
 
 # ----------------------------------------------------------------------

@@ -115,10 +115,10 @@ def _corrupted_machine(platform, **config):
 
 def _qrr_records(platform, component, n, seed):
     def drive():
-        result = QrrCampaign(platform, component).run(n, seed=seed)
+        records = QrrCampaign(platform, component).run(n, seed=seed)
         return [
             (r.instance, r.injection_cycle, r.detected, r.recovered, r.recovery_cycles)
-            for r in result.runs
+            for r in records
         ]
 
     return drive
@@ -139,7 +139,7 @@ class TestFinishEqualsFullSimulation:
             campaign = InjectionCampaign(
                 platform, "l2c", seed=2015, fault=parse_fault("sram:k=2")
             )
-            return [run.to_dict() for run in campaign.run(8).runs]
+            return [run.to_dict() for run in campaign.run(8)]
 
         jumped = _assert_same_as_plain(monkeypatch, drive)
         assert len(jumped) == 8  # every SRAM run handed over

@@ -124,15 +124,15 @@ def platform():
 
 class TestQrrRecovery:
     def test_l2c_recovers_all_covered_injections(self, platform):
-        campaign = QrrCampaign(platform, "l2c")
-        result = campaign.run(12, seed=7)
-        assert result.detected == result.injections
-        assert result.recovered == result.injections, result.failures
+        records = QrrCampaign(platform, "l2c").run(12, seed=7)
+        assert len(records) == 12
+        assert all(r.detected for r in records)
+        assert all(r.recovered for r in records), records
 
     def test_mcu_recovers_all_covered_injections(self, platform):
-        campaign = QrrCampaign(platform, "mcu")
-        result = campaign.run(12, seed=7)
-        assert result.recovered == result.injections, result.failures
+        records = QrrCampaign(platform, "mcu").run(12, seed=7)
+        assert len(records) == 12
+        assert all(r.recovered for r in records), records
 
     def test_recovery_blocks_new_packets(self, platform):
         machine = platform.machine
