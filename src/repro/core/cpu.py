@@ -3,9 +3,12 @@
 Each core holds several hardware threads and a small shared write-through
 L1 data cache (word-granular, direct-mapped).  One instruction issues per
 core per cycle, round-robin over ready threads -- the scheduling
-discipline of the OpenSPARC T2.  Memory traffic leaves the core as PCX
-packets and returns as CPX packets; the machine (or, during
-co-simulation, the RTL uncore model) sits on the other side.
+discipline of the OpenSPARC T2.  The pick is O(1): each core keeps a
+bitmask of its issuable threads, and a table shared by every core of the
+same thread count maps (round-robin head, mask) to the thread to issue.
+Memory traffic leaves the core as PCX packets and returns as CPX
+packets; the machine (or, during co-simulation, the RTL uncore model)
+sits on the other side.
 
 Coherence: the L2 directory sends INVALIDATE packets when another core
 stores to a cached line; atomics bypass the L1 and serialize at the L2
@@ -85,11 +88,14 @@ class Thread:
         "retired",
         "trap",
         "pending_atomic",
+        "bit",
     )
 
     def __init__(self, core_idx: int, thread_idx: int, program: Program) -> None:
         self.core_idx = core_idx
         self.thread_idx = thread_idx
+        #: this thread's bit in its core's issuable mask
+        self.bit = 1 << thread_idx
         self.program = program
         self.program_len = len(program)
         self.handlers = compile_program(program)
@@ -175,6 +181,39 @@ class Thread:
         self.pending_atomic = state["pending_atomic"]
 
 
+#: thread count -> its round-robin pick table (see :func:`_pick_table`)
+_PICK_TABLES: dict[int, list] = {}
+
+
+class _PickRow(dict):
+    """One round-robin head's pick row, filled on first use of a mask."""
+
+    def __init__(self, rr: int, picks: list) -> None:
+        super().__init__()
+        self.rr = rr
+        self.picks = picks
+
+    def __missing__(self, mask: int) -> tuple:
+        # the first set bit at or after the head, wrapping
+        first = mask >> self.rr << self.rr or mask
+        pick = self[mask] = self.picks[(first & -first).bit_length() - 1]
+        return pick
+
+
+def _pick_table(n: int) -> list:
+    """``table[rr][mask]`` -> ``(thread, next rr)`` for ``n`` threads: the
+    thread a round-robin scan from head ``rr`` dispatches when ``mask``
+    holds the issuable threads (``mask`` non-zero).  A pure function of
+    ``n``, built once and shared by every core, like ``_HANDLERS``; each
+    row fills on first use of a mask, so any thread count costs only the
+    masks it meets."""
+    table = _PICK_TABLES.get(n)
+    if table is None:
+        picks = [(i, i + 1 if i + 1 < n else 0) for i in range(n)]
+        table = _PICK_TABLES[n] = [_PickRow(rr, picks) for rr in range(n)]
+    return table
+
+
 class Core:
     """A multi-threaded core with a shared write-through L1 word cache.
 
@@ -201,6 +240,9 @@ class Core:
         self.core_idx = core_idx
         self.threads: list[Thread] = []
         self._rr = 0
+        #: ``_pick[rr][mask]`` -> ``(thread index, next rr)``: the
+        #: round-robin pick for this core's thread count (shared table)
+        self._pick: list = _pick_table(0)
         self._l1_size = l1_words
         self._l1_tags = [-1] * l1_words
         self._l1_vals = [0] * l1_words
@@ -212,12 +254,10 @@ class Core:
         self.dropped_cpx = 0
         #: L1 invalidations processed.
         self.invalidations = 0
-        #: activity counters for the event-driven machine engine:
-        #: number of threads in READY/RETRY, and number with a pending
-        #: atomic (waiting for store-credit drain).  ``step()`` can issue
-        #: an instruction this cycle iff either is non-zero.
-        self._num_ready = 0
-        self._num_atomic_wait = 0
+        #: bitmask of the threads ``step()`` may dispatch: READY or RETRY,
+        #: or WAIT_MEM on a pending atomic whose stores have drained.
+        #: ``step()`` issues an instruction this cycle iff it is non-zero.
+        self._issuable = 0
         #: set whenever architected core state may have changed since the
         #: last delta checkpoint (read and cleared by the snapshot chain)
         self.dirty = True
@@ -233,10 +273,6 @@ class Core:
         #: optional machine hook ``(trapped: bool) -> None`` fired when a
         #: thread enters HALTED or TRAPPED (drives O(1) run-loop checks)
         self.on_thread_stop: "Callable[[bool], None] | None" = None
-
-    def active(self) -> bool:
-        """Whether ``step()`` could possibly issue an instruction now."""
-        return bool(self._num_ready or self._num_atomic_wait)
 
     # ------------------------------------------------------------------
     # L1 cache (word-granular, direct-mapped, write-through)
@@ -260,12 +296,13 @@ class Core:
     def l1_invalidate_line(self, line_addr: int) -> None:
         """Drop every word of a 64-byte line from the L1."""
         base = line_addr & ~63
+        mask = self._l1_size - 1
+        tags = self._l1_tags
         dirty = self._l1_dirty
-        for word in range(LINE_WORDS):
-            addr = base + word * 8
-            idx = self._l1_index(addr)
-            if self._l1_tags[idx] == addr:
-                self._l1_tags[idx] = -1
+        for addr in range(base, base + 8 * LINE_WORDS, 8):
+            idx = (addr >> 3) & mask
+            if tags[idx] == addr:
+                tags[idx] = -1
                 if dirty is not None:
                     dirty.add(idx)
         self.invalidations += 1
@@ -276,7 +313,8 @@ class Core:
     def add_thread(self, program: Program) -> Thread:
         thread = Thread(self.core_idx, len(self.threads), program)
         self.threads.append(thread)
-        self._num_ready += 1
+        self._pick = _pick_table(len(self.threads))
+        self._issuable |= thread.bit
         return thread
 
     def all_halted(self) -> bool:
@@ -319,8 +357,16 @@ class Core:
         if ctype is _ACK:
             if 0 <= thread_idx < len(threads):
                 thread = threads[thread_idx]
-                if thread.stores_inflight > 0:
-                    thread.stores_inflight -= 1
+                inflight = thread.stores_inflight
+                if inflight > 0:
+                    thread.stores_inflight = inflight - 1
+                    if (
+                        inflight == 1
+                        and thread.pending_atomic
+                        and thread.state is _WAIT
+                    ):
+                        # the last store drained: the atomic may issue
+                        self._issuable |= thread.bit
                     return
             self.dropped_cpx += 1
             return
@@ -346,92 +392,39 @@ class Core:
                         dirty.add(idx)
                 thread.wait_reqid = -1
                 thread.state = _READY
-                self._num_ready += 1
+                self._issuable |= thread.bit
                 return
         self.dropped_cpx += 1
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(
-        self,
-        cycle: int,
-        _READY=ThreadState.READY,
-        _RETRY=ThreadState.RETRY,
-        _WAIT=ThreadState.WAIT_MEM,
-    ) -> bool:
+    def step(self, cycle: int, _READY=ThreadState.READY) -> bool:
         """Issue at most one instruction.  Returns True if one retired.
 
-        The round-robin scan and instruction dispatch are fused and
-        inlined -- this is the hottest function in the repository.  The
-        round-robin head being ready is the overwhelmingly common case,
-        so it dispatches without setting up the scan loop.
+        The round-robin pick is one lookup: ``_pick[_rr][_issuable]``
+        gives the first issuable thread at or after the round-robin head
+        and the head after it, so the cost does not grow with the thread
+        count.  A picked thread waiting on a drained pending atomic
+        issues that atomic now.  Dispatch is inlined -- this is the
+        hottest function in the repository.
         """
-        if not (self._num_ready or self._num_atomic_wait):
-            # no thread could possibly issue: identical outcome to the
-            # full round-robin scan, at O(1) cost
+        mask = self._issuable
+        if not mask:
             return False
-        threads = self.threads
-        idx = self._rr
-        thread = threads[idx]
-        state = thread.state
-        if state is _READY or state is _RETRY:
-            idx += 1
-            self._rr = 0 if idx == len(threads) else idx
-            self.dirty = True
-            pc = thread.pc
-            if not 0 <= pc < thread.program_len:
-                return self._trap(thread, TrapKind.BAD_PC)
-            thread.state = _READY
-            return thread.handlers[pc](self, thread, cycle)
-        return self._step_scan(cycle)
-
-    def _step_scan(
-        self,
-        cycle: int,
-        _READY=ThreadState.READY,
-        _RETRY=ThreadState.RETRY,
-        _WAIT=ThreadState.WAIT_MEM,
-    ) -> bool:
-        """Full round-robin scan (the head thread could not issue)."""
-        threads = self.threads
-        n = len(threads)
-        idx = self._rr
-        for _scan in range(n):
-            if idx >= n:
-                idx -= n
-            thread = threads[idx]
-            state = thread.state
-            if state is _READY or state is _RETRY:
-                pass
-            elif state is _WAIT and (
-                thread.pending_atomic and thread.stores_inflight == 0
-            ):
-                # store credits drained; issue the atomic now
-                thread.state = _RETRY
-                self._num_ready += 1
-            else:
-                idx += 1
-                continue
-            idx += 1
-            self._rr = 0 if idx == n else idx
-            # -- inlined _execute ----------------------------------
-            self.dirty = True
-            pc = thread.pc
-            if not 0 <= pc < thread.program_len:
-                return self._trap(thread, TrapKind.BAD_PC)
-            thread.state = _READY
-            return thread.handlers[pc](self, thread, cycle)
-        return False
+        idx, self._rr = self._pick[self._rr][mask]
+        thread = self.threads[idx]
+        self.dirty = True
+        pc = thread.pc
+        if not 0 <= pc < thread.program_len:
+            return self._trap(thread, TrapKind.BAD_PC)
+        thread.state = _READY
+        return thread.handlers[pc](self, thread, cycle)
 
     def _trap(self, thread: Thread, kind: TrapKind, addr: int = 0) -> bool:
         thread.trap = Trap(kind, self.core_idx, thread.thread_idx, thread.pc, addr)
         thread.state = ThreadState.TRAPPED
-        self._num_ready -= 1
-        if thread.pending_atomic:
-            # leave the flag itself untouched (it is architected snapshot
-            # state); the counter only tracks potentially-issuable threads
-            self._num_atomic_wait -= 1
+        self._issuable &= ~thread.bit
         if self.on_thread_stop is not None:
             self.on_thread_stop(True)
         return False
@@ -460,19 +453,23 @@ class Core:
         self.dirty = True
         self._recount()
 
-    def _recount(self) -> None:
-        """Rebuild the activity counters from the thread states."""
-        ready = atomic = 0
+    def _recount(
+        self,
+        _READY=ThreadState.READY,
+        _RETRY=ThreadState.RETRY,
+        _WAIT=ThreadState.WAIT_MEM,
+    ) -> None:
+        """Rebuild the issuable mask from the thread states."""
+        mask = 0
         for t in self.threads:
-            if t.state is ThreadState.READY or t.state is ThreadState.RETRY:
-                ready += 1
-            if t.pending_atomic and t.state not in (
-                ThreadState.HALTED,
-                ThreadState.TRAPPED,
+            state = t.state
+            if (
+                state is _READY
+                or state is _RETRY
+                or (state is _WAIT and t.pending_atomic and not t.stores_inflight)
             ):
-                atomic += 1
-        self._num_ready = ready
-        self._num_atomic_wait = atomic
+                mask |= t.bit
+        self._issuable = mask
 
     # ------------------------------------------------------------------
     # Delta capture (see repro.system.snapshots)
@@ -754,7 +751,7 @@ def _make_assert_eq(instr):
 def _make_halt(instr):
     def h(core, thread, cycle, _HALTED=ThreadState.HALTED):
         thread.state = _HALTED
-        core._num_ready -= 1
+        core._issuable &= ~thread.bit
         stop = core.on_thread_stop
         if stop is not None:
             stop(False)
@@ -799,7 +796,7 @@ def _make_ld(instr):
             thread.state = _RETRY
             return False
         thread.state = _WAIT
-        core._num_ready -= 1
+        core._issuable &= ~thread.bit
         thread.wait_reqid = reqid
         thread.wait_rd = rd
         thread.pc += 1
@@ -880,7 +877,6 @@ def _atomic_factory(is_faa: bool):
                 # the flag set, so clearing it here is equivalent to the
                 # old clear-on-every-dispatch)
                 thread.pending_atomic = False
-                core._num_atomic_wait -= 1
             regs = thread.regs
             addr = regs[ra] & _M
             if addr & 7:
@@ -890,10 +886,10 @@ def _atomic_factory(is_faa: bool):
                 return core._trap(thread, _BAD, addr)
             if thread.stores_inflight > 0:
                 # drain posted stores before the atomic (fence semantics)
+                # (issuable again when the last store ack arrives)
                 thread.state = _WAIT
                 thread.pending_atomic = True
-                core._num_ready -= 1
-                core._num_atomic_wait += 1
+                core._issuable &= ~thread.bit
                 return False
             reqid = core.alloc_reqid()
             operand = regs[rb] if _FAA else 0
@@ -909,7 +905,7 @@ def _atomic_factory(is_faa: bool):
                 if dirty is not None:
                     dirty.add(idx)
             thread.state = _WAIT
-            core._num_ready -= 1
+            core._issuable &= ~thread.bit
             thread.wait_reqid = reqid
             thread.wait_rd = rd
             thread.pc += 1

@@ -40,6 +40,7 @@ import dataclasses
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
 from repro.core.cpu import Core, ThreadState
 from repro.mem.dram import Dram
@@ -521,7 +522,7 @@ class Machine:
         # 1. cores issue (only cores with an issuable thread)
         retired = 0
         for core in self.cores:
-            if core._num_ready or core._num_atomic_wait:
+            if core._issuable:
                 if core.step(cycle):
                     retired += 1
         if retired:
@@ -545,14 +546,15 @@ class Machine:
         :meth:`next_active_cycle` is in the future and nothing has been
         pushed at them since it was computed.
 
-        Dense-activity short-circuit: for the stock high-level models
-        the per-component reschedule is inlined (their wake rule is a
-        queue-head read), a just-delivered PCX packet is accepted
-        straight into the bank's input queue when its ingress FIFO is
-        empty (identical queue content at tick time), and the stock
-        crossbar's no-op ``tick`` is skipped -- so when every component
-        is busy every cycle the active-set bookkeeping costs almost
-        nothing over the reference stepper.
+        The bank and MCU loops visit only the due components, picked at
+        C level (``compress`` over ``wake <= cycle``) in index order, and
+        take the stage's new minimum with ``min()``, so a cycle costs
+        Python work per due component, not per component.  For the stock
+        high-level models the per-component reschedule is inlined (their
+        wake rule is a queue-head read), a just-delivered PCX packet is
+        accepted straight into the bank's input queue when its ingress
+        FIFO is empty (identical queue content at tick time), and the
+        stock crossbar's no-op ``tick`` is skipped.
         """
         c = self._obs_uncore
         if c is not None:
@@ -604,17 +606,20 @@ class Machine:
                             wake_banks[bank] = cycle
                     if self._banks_wake_min > cycle:
                         self._banks_wake_min = cycle
+        # Due-only selection.  Invariant: ticking one bank (or MCU) never
+        # lowers another component of the same stage to ``<= cycle``
+        # within its loop -- a bank's tick reaches the MCUs (through their
+        # ingress) and the crossbar, and an MCU's reply wakes its bank at
+        # ``cycle + 1`` -- so the components a loop visits are exactly
+        # those due when it starts, as in an index-order scan
+        # (tests/test_issue_mask.py checks it on every tick).
         if self._banks_wake_min <= cycle:
             banks = self.l2banks
             bank_stock = self._bank_stock
             dirty_banks = self._dirty_banks
-            banks_min = _NEVER
-            for bank_idx in range(len(banks)):
-                wake = wake_banks[bank_idx]
-                if wake > cycle:
-                    if wake < banks_min:
-                        banks_min = wake
-                    continue
+            for bank_idx in compress(
+                range(len(banks)), map(cycle.__ge__, wake_banks)
+            ):
                 server = banks[bank_idx]
                 dirty_banks[bank_idx] = True
                 ingress = self._bank_ingress[bank_idx]
@@ -656,20 +661,12 @@ class Machine:
                     if wake is None:
                         wake = _NEVER
                 wake_banks[bank_idx] = wake
-                if wake < banks_min:
-                    banks_min = wake
-            self._banks_wake_min = banks_min
+            self._banks_wake_min = min(wake_banks)
         if self._mcus_wake_min <= cycle:
             wake_mcus = self._wake_mcus
             mcus = self.mcus
             mcu_stock = self._mcu_stock
-            mcus_min = _NEVER
-            for mcu_idx in range(len(mcus)):
-                wake = wake_mcus[mcu_idx]
-                if wake > cycle:
-                    if wake < mcus_min:
-                        mcus_min = wake
-                    continue
+            for mcu_idx in compress(range(len(mcus)), map(cycle.__ge__, wake_mcus)):
                 mcu = mcus[mcu_idx]
                 self._dirty_mcus[mcu_idx] = True
                 ingress = self._mcu_ingress[mcu_idx]
@@ -690,9 +687,7 @@ class Machine:
                     if wake is None:
                         wake = _NEVER
                 wake_mcus[mcu_idx] = wake
-                if wake < mcus_min:
-                    mcus_min = wake
-            self._mcus_wake_min = mcus_min
+            self._mcus_wake_min = min(wake_mcus)
         if self._wake_ccx <= cycle:
             cores = self.cores
             ncores = len(cores)
@@ -948,7 +943,7 @@ class Machine:
             retired = 0
             active = False
             for core in cores:
-                if core._num_ready or core._num_atomic_wait:
+                if core._issuable:
                     active = True
                     if core.step(cycle):
                         retired += 1

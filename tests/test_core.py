@@ -275,6 +275,36 @@ class TestMemoryInterface:
         assert core.l1_lookup(0x108) is None
         assert core.invalidations == 1
 
+    @pytest.mark.parametrize("l1_words", [1, 2, 4, 64])
+    def test_invalidate_drops_line_in_any_l1_size(self, l1_words):
+        """Below 8 words several of a line's words share one slot; the
+        invalidate clears a slot only if it holds a word of the line."""
+        core = Core(
+            0,
+            issue_pcx=lambda pkt: True,
+            check_addr=lambda addr: True,
+            write_output=lambda s, v: None,
+            alloc_reqid=lambda: 1,
+            l1_words=l1_words,
+        )
+        line = range(0x100, 0x140, 8)
+        for addr in (0x210, 0x1F8, 0x100, 0x128):
+            core.l1_fill(addr, addr)
+        before = list(core._l1_tags)
+        core._l1_dirty = set()
+        core.l1_invalidate_line(0x118)
+        held = {i for i, tag in enumerate(before) if tag in line}
+        assert held  # the line is present before the invalidate
+        assert core._l1_dirty == held
+        assert core._l1_tags == [
+            -1 if i in held else tag for i, tag in enumerate(before)
+        ]
+        assert all(core.l1_lookup(a) is None for a in line)
+        if l1_words == 4:
+            # slots 0 and 1 held words 0 and 5 of the line; slot 2 holds
+            # 0x210 of another line and slot 3 holds 0x1F8
+            assert core._l1_tags == [-1, -1, 0x210, 0x1F8]
+
     def test_round_robin_fairness(self):
         core = self.make_core()
         progs = []
