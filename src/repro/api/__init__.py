@@ -21,17 +21,14 @@ canonical JSON bytes a result saves::
 """
 
 from repro.api.executor import (
-    EXECUTOR_BACKENDS,
     CachingExecutor,
     CampaignOutcome,
     CellFailure,
     Executor,
     ParallelExecutor,
     SerialExecutor,
-    executor_backend,
     load_cached_result,
     make_executor,
-    register_backend,
     result_cache_path,
     run_campaign,
     shard_by_digest,
@@ -43,6 +40,7 @@ from repro.api.result import (
     ExperimentResult,
     RunRecord,
     dumps_canonical,
+    sweep_document,
 )
 from repro.api.session import Session
 from repro.api.spec import (
@@ -60,7 +58,6 @@ __all__ = [
     "CellFailure",
     "DEFAULT_MACHINE",
     "DEFAULT_SCALE",
-    "EXECUTOR_BACKENDS",
     "Executor",
     "ExperimentResult",
     "ExperimentSpec",
@@ -74,12 +71,11 @@ __all__ = [
     "SerialExecutor",
     "Session",
     "dumps_canonical",
-    "executor_backend",
     "load_cached_result",
     "make_executor",
-    "register_backend",
     "result_cache_path",
     "run_campaign",
     "shard_by_digest",
     "store_cached_result",
+    "sweep_document",
 ]

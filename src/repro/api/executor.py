@@ -752,57 +752,6 @@ def run_campaign(
     return CampaignOutcome(status, results, failure, ledger, worker_dead)
 
 
-# ----------------------------------------------------------------------
-# backend registry
-# ----------------------------------------------------------------------
-#: name -> factory(**options) for every known executor backend.  New
-#: backends (e.g. the cluster coordinator) register themselves here so
-#: ``make_executor`` and third-party callers can reach them by name
-#: without import-time coupling.
-EXECUTOR_BACKENDS: "dict[str, Callable[..., Executor]]" = {}
-
-
-def register_backend(name: str, factory: "Callable[..., Executor]") -> None:
-    """Register (or replace) an executor backend factory under ``name``."""
-    EXECUTOR_BACKENDS[name] = factory
-
-
-def executor_backend(name: str) -> "Callable[..., Executor]":
-    """Resolve a backend factory by name.
-
-    The cluster backend lives in :mod:`repro.cluster` and registers
-    itself on import; resolving ``"cluster"`` triggers that import so
-    callers never need to know the package layout.
-    """
-    if name not in EXECUTOR_BACKENDS and name == "cluster":
-        import repro.cluster  # noqa: F401  (registration side effect)
-    try:
-        return EXECUTOR_BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown executor backend {name!r}; "
-            f"known: {sorted(EXECUTOR_BACKENDS)}"
-        ) from None
-
-
-register_backend(
-    "serial",
-    lambda session=None, retry=None: SerialExecutor(session, retry=retry),
-)
-register_backend(
-    "parallel",
-    lambda workers=None, retry=None: ParallelExecutor(
-        workers=workers, retry=retry
-    ),
-)
-register_backend(
-    "caching",
-    lambda cache_dir=".sweep-cache", inner=None: CachingExecutor(
-        cache_dir, inner
-    ),
-)
-
-
 def make_executor(
     workers: int = 1,
     cache_dir: "str | Path | None" = None,
@@ -850,7 +799,9 @@ def make_executor(
             options["heartbeat_timeout"] = heartbeat_timeout
         if worker_procs is not None and worker_procs > 1:
             options["worker_procs"] = worker_procs
-        return executor_backend("cluster")(
+        from repro.cluster.coordinator import ClusterExecutor
+
+        return ClusterExecutor(
             workers=cluster,
             launcher=launcher,
             cache_dir=cache_dir,

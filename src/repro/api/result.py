@@ -263,3 +263,16 @@ def dumps_canonical(data) -> str:
     every JSON artefact goes through this one encoder.
     """
     return json.dumps(data, indent=2, sort_keys=True)
+
+
+def sweep_document(grid: dict, results: "list[ExperimentResult]") -> str:
+    """The canonical sweep document: ``grid`` (a ``Grid.to_dict()``)
+    and its cell results in spec order.  ``repro sweep --json`` and the
+    serve daemon's result endpoint both write these bytes."""
+    return dumps_canonical(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "grid": grid,
+            "results": [result.to_dict() for result in results],
+        }
+    )

@@ -43,10 +43,7 @@ class Session:
     and no executor, worker or CLI flag forwards it.
     """
 
-    def __init__(
-        self, cache_platforms: bool = True, engine: str = DEFAULT_ENGINE
-    ) -> None:
-        self._cache_platforms = cache_platforms
+    def __init__(self, engine: str = DEFAULT_ENGINE) -> None:
         self.engine = engine
         self._platforms: dict[tuple, MixedModePlatform] = {}
 
@@ -58,9 +55,7 @@ class Session:
         key = spec.platform_key()
         platform = self._platforms.get(key)
         if platform is None:
-            platform = self._build(spec)
-            if self._cache_platforms:
-                self._platforms[key] = platform
+            platform = self._platforms[key] = self._build(spec)
         return platform
 
     def _build(self, spec: ExperimentSpec) -> MixedModePlatform:

@@ -56,6 +56,7 @@ from repro.api import (
     dumps_canonical,
     make_executor,
     run_campaign,
+    sweep_document,
 )
 from repro.faults.models import DEFAULT_FAULT
 from repro.system.machine import MachineConfig
@@ -356,13 +357,7 @@ def _sweep(args) -> int:
 
     document = None
     if args.json:
-        document = dumps_canonical(
-            {
-                "schema_version": results[0].to_dict()["schema_version"],
-                "grid": grid.to_dict(),
-                "results": [r.to_dict() for r in results],
-            }
-        )
+        document = sweep_document(grid.to_dict(), results)
         if args.json != "-":
             # before any table, so the file never waits on stdout
             _emit_text(document, args.json)

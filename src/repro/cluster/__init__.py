@@ -26,7 +26,6 @@ bytes.  Agents run the default cycle engine, as pool workers do: the
 engine is an in-process setting and never crosses the wire.
 """
 
-from repro.api.executor import register_backend
 from repro.cluster.coordinator import ClusterExecutor
 from repro.cluster.launchers import (
     Launcher,
@@ -46,11 +45,3 @@ __all__ = [
     "parse_launcher",
     "run_worker",
 ]
-
-register_backend(
-    "cluster",
-    lambda workers=2, launcher=None, cache_dir=None, **options:
-        ClusterExecutor(
-            workers=workers, launcher=launcher, cache_dir=cache_dir, **options
-        ),
-)

@@ -96,7 +96,9 @@ class GoldenRun:
         """Phase 3: ``machine.run(hang_factor_cycles=...)`` with an exact
         early stop once the machine re-converges with the golden run.
 
-        The machine advances checkpoint to checkpoint.  At each golden
+        The machine advances checkpoint to checkpoint through
+        :meth:`Machine.advance_to_exit`, the exit rule ``machine.run``
+        stops through as well.  At each golden
         checkpoint whose stored scalars (retired count, request id, last
         retire cycle) equal the machine's, the whole machine snapshot is
         compared with the checkpoint.  On equality the rest of the run
@@ -106,11 +108,10 @@ class GoldenRun:
         drains the uncore from there.  The result, the final machine
         state and the next run are those of full simulation.
 
-        * A chunk never crosses the cycle at which the watchdog fires;
-          trap, hang and completion exits are left to ``machine.run``,
-          so they happen at the same cycle.  The cycle cap cannot fire
-          before the last checkpoint: with a cap below the golden length
-          there is no jump to make.
+        * On an exit before a checkpoint (trap, completion, watchdog)
+          the loop stops and ``machine.run`` returns at that same
+          cycle.  The cycle cap cannot fire before the last checkpoint:
+          with a cap below the golden length there is no jump to make.
         * No jump while a corrupted word is watched but not yet read (a
           later read still sets the propagation cycle); the watch fields
           survive the jump.
@@ -121,11 +122,10 @@ class GoldenRun:
         chain = self.snapshots
         cap = min(machine.config.max_cycles, hang_factor_cycles)
         if isinstance(chain, SnapshotChain) and self.cycles <= cap:
-            watchdog = machine.config.watchdog_cycles
             for ckpt in chain:
                 if ckpt < machine.cycle:
                     continue
-                if not _advance_before_exit(machine, ckpt, watchdog):
+                if machine.advance_to_exit(cap, ckpt) is not None:
                     break
                 if machine.corrupt_watch and machine.corrupt_read_cycle is None:
                     continue
@@ -142,24 +142,6 @@ class GoldenRun:
                 machine.corrupt_watch, machine.corrupt_read_cycle = watch, read
                 break
         return machine.run(hang_factor_cycles=hang_factor_cycles)
-
-
-def _advance_before_exit(machine: Machine, target: int, watchdog: int) -> bool:
-    """Advance to ``target`` unless a run exit comes first.
-
-    Returns False, with the machine at the exit cycle, when a thread
-    trapped, every thread halted or the watchdog fires (as
-    :meth:`Machine.run` checks them) before ``target``.
-    """
-    while True:
-        if machine._trapped_threads or machine._live_threads == 0:
-            return False
-        if machine.cycle >= target:
-            return True
-        limit = machine._last_retire_cycle + watchdog + 1
-        if machine.cycle >= limit:
-            return False
-        machine.advance_until(target if target < limit else limit)
 
 
 @dataclass
@@ -250,7 +232,6 @@ def compute_golden(
     if chain is not None:
         chain.checkpoint()
     cf = cosim.snapshot_interval
-    watchdog = machine.config.watchdog_cycles
     cap = machine.config.max_cycles
     # obs handles resolved once (null no-ops when disabled); the tracer
     # decision is likewise frozen so the chunk loop stays branch-cheap
@@ -259,33 +240,19 @@ def compute_golden(
     chunk_count = obs.counter("golden.chunks")
     chunk_time = obs.timer("golden.chunk_seconds")
     tracer = obs.tracer()
-    # Advance checkpoint-to-checkpoint via Machine.advance_until: the
-    # O(1) termination checks run between chunks (the early-stop cycle
-    # is exact, so successful runs are bit-identical to per-cycle
-    # stepping) and the event engine keeps its idle hops.
-    # The watchdog bound caps each chunk so a hung run still raises at
-    # the same cycle the per-cycle loop would have.
+    # One Machine.advance_to_exit call per checkpoint (without
+    # snapshots, one call to the exit): the exit rule of Machine.run, so
+    # the run ends at the cycle per-cycle stepping would and the event
+    # engine keeps its idle hops.  A checkpoint reached is taken before
+    # the exits are checked, so a run halting on a multiple of Cf
+    # checkpoints that cycle; only "halted" completes the golden run.
     while True:
-        if machine._live_threads == 0:
-            break
-        if machine._trapped_threads:
-            raise RuntimeError(f"golden run trapped: {machine.any_trap()}")
-        if machine.cycle >= cap:
-            raise RuntimeError("golden run exceeded the cycle cap")
-        if machine.cycle - machine._last_retire_cycle > watchdog:
-            raise RuntimeError("golden run hung")
-        target = machine._last_retire_cycle + watchdog + 1
-        if cap < target:
-            target = cap
-        if chain is not None:
-            # first cf multiple strictly after the current cycle
-            next_ckpt = machine.cycle + cf - machine.cycle % cf
-            if next_ckpt < target:
-                target = next_ckpt
         start_cycle = machine.cycle
+        # first cf multiple strictly after the current cycle
+        target = start_cycle + cf - start_cycle % cf if chain is not None else None
         if tracer is None:
             with chunk_time.time():
-                done = machine.advance_until(target)
+                end = machine.advance_to_exit(cap, target)
         else:
             with chunk_time.time(), tracer.span(
                 "golden_chunk",
@@ -294,11 +261,18 @@ def compute_golden(
                 target=target,
                 engine=machine.engine,
             ):
-                done = machine.advance_until(target)
+                end = machine.advance_to_exit(cap, target)
         chunk_count.inc()
-        if done:
-            if chain is not None and machine.cycle % cf == 0:
-                chain.checkpoint()
+        if end is None:
+            chain.checkpoint()
+        elif end == "halted":
+            break
+        elif end == "trap":
+            raise RuntimeError(f"golden run trapped: {machine.any_trap()}")
+        elif end == "cap":
+            raise RuntimeError("golden run exceeded the cycle cap")
+        else:
+            raise RuntimeError("golden run hung")
     if chain is not None:
         chain.finalize()
     machine.obs_flush()

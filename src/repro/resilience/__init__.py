@@ -34,11 +34,10 @@ from repro.resilience.journal import (
     SweepJournal,
     journal_path,
 )
-from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from repro.resilience.retry import RetryPolicy
 from repro.resilience.shutdown import GracefulShutdown, SweepInterrupted
 
 __all__ = [
-    "DEFAULT_RETRY_POLICY",
     "FsckReport",
     "GracefulShutdown",
     "JOURNAL_VERSION",

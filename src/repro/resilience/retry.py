@@ -102,7 +102,3 @@ class RetryPolicy:
             return False
         return now - started_monotonic > self.cell_timeout
 
-
-#: The conservative default used when a caller asks for retries without
-#: specifying a policy (matches the cluster's historical max_retries=2).
-DEFAULT_RETRY_POLICY = RetryPolicy(max_attempts=3)

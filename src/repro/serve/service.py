@@ -49,7 +49,7 @@ from collections import OrderedDict, deque
 from pathlib import Path
 
 from repro.api.executor import make_executor, run_campaign
-from repro.api.result import SCHEMA_VERSION, dumps_canonical
+from repro.api.result import sweep_document
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec
 from repro.obs.progress import ProgressState
@@ -102,7 +102,7 @@ class PooledSession(Session):
     """
 
     def __init__(self, capacity: int = 8) -> None:
-        super().__init__(cache_platforms=True)
+        super().__init__()
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
@@ -426,12 +426,7 @@ class CampaignService:
             cache_dir=str(self.bus), session=self.session
         )
         results = executor.run(specs)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "grid": job.grid,
-            "results": [result.to_dict() for result in results],
-        }
-        return (dumps_canonical(payload) + "\n").encode("utf-8")
+        return (sweep_document(job.grid, results) + "\n").encode("utf-8")
 
     def stats(self) -> dict:
         """Operational state for ``/stats`` (everything a fleet

@@ -144,8 +144,6 @@ class Machine:
         self.dram = Dram()
         self.output: dict[int, int] = {}
         self.last_store_cycle: dict[int, int] = {}
-        #: store cycles per word (kept only when rollback analysis is on)
-        self.track_store_log = True
         self._reqid = 1
         self._regions: list[tuple[int, int, str]] = []
         self._region_starts: list[int] = []
@@ -290,10 +288,9 @@ class Machine:
         self.output[slot] = value
 
     def _log_store(self, word_addr: int, cycle: int) -> None:
-        if self.track_store_log:
-            self.last_store_cycle[word_addr] = cycle
-            if self._store_log_dirty is not None:
-                self._store_log_dirty.add(word_addr)
+        self.last_store_cycle[word_addr] = cycle
+        if self._store_log_dirty is not None:
+            self._store_log_dirty.add(word_addr)
 
     def _send_mcu(self, req: McuRequest) -> None:
         # order-preserving per-MCU ingress; drained in step() so a
@@ -405,10 +402,45 @@ class Machine:
         Like :meth:`run_until_cycle`, but stops at the precise cycle at
         which every thread has halted/trapped (checked per advanced
         cycle, like the run loops).  Returns False on such an early
-        stop.  Used by golden-run drivers to step checkpoint-to-
-        checkpoint while keeping the event engine's idle hops.
+        stop.  The run drivers stop through :meth:`advance_to_exit`.
         """
         return self._advance(target, True)
+
+    def advance_to_exit(self, cap: int, target: "int | None" = None) -> "str | None":
+        """Advance to ``target`` unless a run exit comes first: the one
+        run-exit rule of the golden run, phase 3 and :meth:`run`.
+
+        Returns ``None`` at ``target``, or else the exit, at the cycle
+        per-cycle simulation sees it: ``"trap"`` (a thread trapped),
+        ``"halted"`` (every thread halted), ``"cap"`` (cycle ``cap``
+        reached) or ``"watchdog"`` (no retirement for more than
+        ``config.watchdog_cycles``).  Between chunks the checks run in
+        that order, after "target reached": a run that halts exactly at
+        ``target`` returns ``None`` first (the golden run checkpoints
+        that cycle) and ``"halted"`` on the next call.  Each chunk ends
+        at the first cycle the watchdog or the cap could fire (a
+        retirement inside it only moves the watchdog later), and
+        :meth:`_advance` stops inside a chunk at the exact trap or halt
+        cycle.
+        """
+        watchdog = self.config.watchdog_cycles
+        while True:
+            if target is not None and self.cycle >= target:
+                return None
+            if self._trapped_threads:
+                return "trap"
+            if self._live_threads == 0:
+                return "halted"
+            if self.cycle >= cap:
+                return "cap"
+            limit = self._last_retire_cycle + watchdog + 1
+            if self.cycle >= limit:
+                return "watchdog"
+            if cap < limit:
+                limit = cap
+            if target is not None and target < limit:
+                limit = target
+            self._advance(limit, True)
 
     def uncore_changed(self) -> None:
         """Reschedule after an uncore component swap.
@@ -806,13 +838,25 @@ class Machine:
 
         ``hang_factor_cycles``, when given, is an absolute cycle count
         beyond which the run is declared hung (campaigns set it to a
-        multiple of the error-free length).
+        multiple of the error-free length).  The event engine stops
+        through :meth:`advance_to_exit`; the reference engine keeps its
+        own per-cycle loop, the independent check of that rule.
         """
-        if not self._reference:
-            return self.run_fast(max_cycles, hang_factor_cycles)
         cap = max_cycles if max_cycles is not None else self.config.max_cycles
         if hang_factor_cycles is not None:
             cap = min(cap, hang_factor_cycles)
+        if not self._reference:
+            end = self.advance_to_exit(cap)
+            if end == "halted":
+                self._drain_uncore(limit=10_000)
+            return RunResult(
+                completed=end == "halted",
+                cycles=self.cycle,
+                output=dict(self.output),
+                trap=self.any_trap() if end == "trap" else None,
+                hung=end in ("cap", "watchdog"),
+                retired=self.retired_total,
+            )
         watchdog = self.config.watchdog_cycles
         while True:
             done = True
@@ -846,52 +890,6 @@ class Machine:
                 )
             self.step()
 
-    def run_fast(
-        self,
-        max_cycles: "int | None" = None,
-        hang_factor_cycles: "int | None" = None,
-    ) -> RunResult:
-        """Event-driven :meth:`run`: drives :meth:`_advance` in chunks
-        capped by the cycle cap and the watchdog limit, with the O(1)
-        termination checks between chunks (the early stop inside a chunk
-        is exact).  Bit-identical observables to the reference loop
-        (enforced by the differential test suite)."""
-        cap = max_cycles if max_cycles is not None else self.config.max_cycles
-        if hang_factor_cycles is not None:
-            cap = min(cap, hang_factor_cycles)
-        watchdog = self.config.watchdog_cycles
-        while True:
-            if self._trapped_threads:
-                return RunResult(
-                    completed=False,
-                    cycles=self.cycle,
-                    output=dict(self.output),
-                    trap=self.any_trap(),
-                    retired=self.retired_total,
-                )
-            if self._live_threads == 0:
-                self._drain_uncore(limit=10_000)
-                return RunResult(
-                    completed=True,
-                    cycles=self.cycle,
-                    output=dict(self.output),
-                    retired=self.retired_total,
-                )
-            # the first cycle at which the watchdog (or the cap) fires;
-            # retirements inside the chunk only move the real limit later
-            target = self._last_retire_cycle + watchdog + 1
-            if cap < target:
-                target = cap
-            if self.cycle >= target:
-                return RunResult(
-                    completed=False,
-                    cycles=self.cycle,
-                    output=dict(self.output),
-                    hung=True,
-                    retired=self.retired_total,
-                )
-            self._advance(target, True)
-
     def uncore_idle(self) -> bool:
         """Whether all uncore components and ingress queues are empty."""
         if any(self._bank_ingress) or any(self._mcu_ingress):
@@ -919,7 +917,7 @@ class Machine:
 
     def _advance(self, target: int, stop: bool) -> bool:
         """The run loop behind :meth:`run_until_cycle`,
-        :meth:`advance_until` and :meth:`run_fast`.
+        :meth:`advance_until` and :meth:`advance_to_exit`.
 
         Advances to absolute cycle ``target``; with ``stop`` set it
         returns False at the exact cycle at which every thread has
