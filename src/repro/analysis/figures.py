@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from repro.api.result import ExperimentResult
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec
+from repro.soc.geometry import UNCORE_TARGETS
 from repro.system.machine import MachineConfig
 from repro.system.outcome import OUTCOME_ORDER, Outcome
 
@@ -111,7 +112,7 @@ def fig4_omm_comparison(
     Returns (name, omm_rate, kind) rows, uncore first, in paper order.
     """
     rows: list[tuple[str, float, str]] = []
-    for comp in ("l2c", "mcu", "ccx", "pcie"):
+    for comp in UNCORE_TARGETS:
         if comp in fig3_results:
             rows.append((comp.upper(), fig3_results[comp].mean_omm(), "uncore"))
     for name, rate in CORE_OMM_RATES.items():

@@ -89,7 +89,6 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
-import itertools
 import logging
 import os
 import queue as queue_mod
@@ -494,10 +493,6 @@ class ParallelExecutor:
 # land results here and the coordinator merges from it, so retried or
 # straggler-re-dispatched cells are free cache hits.
 
-#: Process-local suffix counter for unique temp names (see
-#: :func:`store_cached_result`).
-_TMP_IDS = itertools.count()
-
 
 def result_cache_path(cache_dir: "str | Path", spec: ExperimentSpec) -> Path:
     """Where a spec's canonical result JSON lives under ``cache_dir``."""
@@ -527,19 +522,13 @@ def load_cached_result(
 def store_cached_result(path: Path, result: ExperimentResult) -> None:
     """Atomically publish one result under its final cache name.
 
-    Write-then-rename so an interrupted save never leaves a half-written
-    entry under the final name.  The temp name is unique *per writer*
-    (pid + counter): with many processes landing the same digest
-    concurrently -- exactly what the cluster result bus does on retries
-    and stragglers -- a shared temp path would let one writer truncate
-    or rename another's in-flight bytes.  Unique names make every
-    rename atomic and last-writer-wins, and identical specs produce
-    byte-identical files so the winner never matters.
+    Many processes may land the same digest at once (the cluster result
+    bus does on retries and stragglers): :meth:`ExperimentResult.save`
+    publishes through a per-writer temp name, so every rename is atomic
+    and last-writer-wins, and identical specs produce byte-identical
+    files, so the winner never matters.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_TMP_IDS)}.tmp")
-    result.save(tmp)
-    tmp.replace(path)
+    result.save(path)
 
 
 def shard_by_digest(

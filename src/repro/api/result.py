@@ -19,6 +19,7 @@ from pathlib import Path
 from repro.api.spec import ExperimentSpec
 from repro.faults.models import DEFAULT_FAULT
 from repro.system.outcome import OUTCOME_ORDER, Outcome
+from repro.utils.atomic import write_atomic
 from repro.utils.stats import BinomialEstimate
 
 #: Bump when the JSON layout changes incompatibly.
@@ -246,10 +247,9 @@ class ExperimentResult:
         )
 
     def save(self, path: "str | Path") -> Path:
-        """Write the canonical JSON form (stable key order) to ``path``."""
-        path = Path(path)
-        path.write_text(dumps_canonical(self.to_dict()) + "\n")
-        return path
+        """Atomically write the canonical JSON form (stable key order)
+        to ``path``."""
+        return write_atomic(path, dumps_canonical(self.to_dict()) + "\n")
 
     @classmethod
     def load(cls, path: "str | Path") -> "ExperimentResult":

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from repro.faults.models import DEFAULT_FAULT, FaultModel, parse_fault
+from repro.soc.geometry import UNCORE_TARGETS
 from repro.system.machine import ENGINES, MachineConfig
 from repro.workloads import ALL_BENCHMARKS, PCIE_BENCHMARKS
 
@@ -22,7 +23,7 @@ from repro.workloads import ALL_BENCHMARKS, PCIE_BENCHMARKS
 MODES = ("injection", "qrr", "golden")
 
 #: Components accepted for plain injection campaigns (paper Fig. 3).
-INJECTION_COMPONENTS = ("l2c", "mcu", "ccx", "pcie")
+INJECTION_COMPONENTS = UNCORE_TARGETS
 
 #: Components protected by QRR (paper Sec. 6: the memory subsystem).
 QRR_COMPONENTS = ("l2c", "mcu")

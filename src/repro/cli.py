@@ -51,6 +51,7 @@ from repro.api import (
     CachingExecutor,
     ExperimentResult,
     ExperimentSpec,
+    QRR_COMPONENTS,
     Grid,
     Session,
     dumps_canonical,
@@ -59,6 +60,7 @@ from repro.api import (
     sweep_document,
 )
 from repro.faults.models import DEFAULT_FAULT
+from repro.soc.geometry import UNCORE_TARGETS
 from repro.system.machine import MachineConfig
 from repro.system.outcome import OUTCOME_ORDER
 from repro.utils.render import render_table
@@ -814,8 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("campaign", help="run an injection campaign cell")
     common(p)
-    p.add_argument("--component", default="l2c",
-                   choices=["l2c", "mcu", "ccx", "pcie"])
+    p.add_argument("--component", default="l2c", choices=UNCORE_TARGETS)
     p.add_argument("--n", type=int, default=100)
     fault_flag(p)
     json_flag(p)
@@ -827,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qrr", help="run a QRR effectiveness campaign")
     common(p)
-    p.add_argument("--component", default="l2c", choices=["l2c", "mcu"])
+    p.add_argument("--component", default="l2c", choices=QRR_COMPONENTS)
     p.add_argument("--n", type=int, default=25)
     json_flag(p)
     p.set_defaults(func=cmd_qrr)
@@ -837,8 +838,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p, benchmark=False)
     p.add_argument(
-        "--components", nargs="+", default=["l2c", "mcu", "ccx", "pcie"],
-        choices=["l2c", "mcu", "ccx", "pcie"],
+        "--components", nargs="+", default=list(UNCORE_TARGETS),
+        choices=UNCORE_TARGETS,
     )
     p.add_argument(
         "--benchmarks", nargs="+", default=list(ALL_BENCHMARKS),

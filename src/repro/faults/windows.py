@@ -1,16 +1,10 @@
 """Injection-window sampling: *when* and *into which instance*.
 
-This module owns the component-aware timing rules that used to live
-inline in ``MixedModePlatform.sample_injection_point``: PCIe injections
-must land inside the DMA transfer window (the paper models PCIe
-transferring the input file), L2C/MCU injections pick a random instance,
-and everything else samples uniformly over the whole execution.
-
-Determinism contract: :func:`sample_point` consumes the campaign RNG in
-exactly the sequence the platform's inline sampler did (one ``randrange``
-for the cycle, one more for the instance only on multi-instance
-components), so the default fault model stays bit-identical to the
-pre-subsystem behaviour.
+PCIe injections land inside the DMA transfer window (the paper models
+PCIe transferring the input file); the other components sample
+uniformly over the whole execution.  Determinism contract:
+:func:`sample_point` draws one ``randrange`` for the cycle and one more
+for the instance only on multi-instance components.
 """
 
 from __future__ import annotations
@@ -18,15 +12,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.soc.geometry import T2_GEOMETRY
+
 
 @dataclass(frozen=True)
 class InjectionWindow:
     """The cycle/instance space one component's injections sample from.
 
-    ``draw_instance`` records whether the instance is randomly drawn
-    (L2C banks, MCUs) or fixed (single-instance components) -- kept
-    explicit so the RNG call sequence is part of the contract, not a
-    side effect of ``instances == 1``.
+    ``draw_instance`` records whether the instance is randomly drawn:
+    for the components with several instances on the T2 (L2C banks,
+    MCUs), even on a machine configured with one, so the RNG call
+    sequence follows the component, not the geometry.
     """
 
     lo: int
@@ -48,13 +44,12 @@ def injection_window(platform, component: str) -> InjectionWindow:
             )
         lo, hi = platform.golden.pcie_window
         return InjectionWindow(max(lo, 1), max(hi, lo + 2))
-    config = platform.machine_config
-    lo, hi = 1, max(2, platform.golden.cycles - 1)
-    if component == "l2c":
-        return InjectionWindow(lo, hi, config.l2_banks, draw_instance=True)
-    if component == "mcu":
-        return InjectionWindow(lo, hi, config.mcus, draw_instance=True)
-    return InjectionWindow(lo, hi)
+    return InjectionWindow(
+        1,
+        max(2, platform.golden.cycles - 1),
+        platform.machine_config.instances(component),
+        draw_instance=T2_GEOMETRY[component].instances > 1,
+    )
 
 
 def sample_point(

@@ -251,7 +251,6 @@ class L2cCosimAdapter(CosimAdapterBase):
         super().__init__()
         self.machine = machine
         self.bank = bank
-        self.hl = machine.l2banks[bank]
         self.golden_dram = machine.dram.fork()
         self.golden_port = WriteTrackingPort(self.golden_dram)
         self.target_port = _MirroredPort(machine.dram, self.golden_port)
@@ -348,18 +347,15 @@ class L2cCosimAdapter(CosimAdapterBase):
         return sorted(words)
 
     def attach(self) -> None:
-        self.machine.l2banks[self.bank] = self
-        self.machine.uncore_changed()
+        self.hl = self.machine.swap("l2c", self.bank, self)
 
     def detach(self) -> None:
         """Transfer the (possibly corrupted) state back (Fig. 2, step 10)."""
         self.target.extract_state(self.machine.l2states[self.bank])
-        self.machine.l2banks[self.bank] = self.hl
-        self.machine.uncore_changed()
+        self.machine.swap("l2c", self.bank, self.hl)
 
     def release(self) -> None:
-        self.machine.l2banks[self.bank] = self.hl
-        self.machine.uncore_changed()
+        self.machine.swap("l2c", self.bank, self.hl)
 
 
 class McuCosimAdapter(CosimAdapterBase):
@@ -381,7 +377,6 @@ class McuCosimAdapter(CosimAdapterBase):
         super().__init__()
         self.machine = machine
         self.mcu_idx = mcu_idx
-        self.hl = machine.mcus[mcu_idx]
         self.golden_dram = machine.dram.fork()
         self.golden_port = WriteTrackingPort(self.golden_dram)
         self.target_port = _MirroredPort(machine.dram, self.golden_port)
@@ -410,16 +405,13 @@ class McuCosimAdapter(CosimAdapterBase):
         return self.target.in_flight()
 
     def attach(self) -> None:
-        self.machine.mcus[self.mcu_idx] = self
-        self.machine.uncore_changed()
+        self.hl = self.machine.swap("mcu", self.mcu_idx, self)
 
     def detach(self) -> None:
-        self.machine.mcus[self.mcu_idx] = self.hl
-        self.machine.uncore_changed()
+        self.machine.swap("mcu", self.mcu_idx, self.hl)
 
-    def release(self) -> None:
-        self.machine.mcus[self.mcu_idx] = self.hl
-        self.machine.uncore_changed()
+    #: no state to transfer back: abandoning is detaching
+    release = detach
 
 
 class CcxCosimAdapter(CosimAdapterBase):
@@ -434,7 +426,6 @@ class CcxCosimAdapter(CosimAdapterBase):
     def __init__(self, machine) -> None:
         super().__init__()
         self.machine = machine
-        self.hl = machine.ccx
         self.target = CcxRtl(machine.amap)
 
     def _new_golden(self) -> CcxRtl:
@@ -473,16 +464,13 @@ class CcxCosimAdapter(CosimAdapterBase):
         return self.target.in_flight()
 
     def attach(self) -> None:
-        self.machine.ccx = self
-        self.machine.uncore_changed()
+        self.hl = self.machine.swap("ccx", 0, self)
 
     def detach(self) -> None:
-        self.machine.ccx = self.hl
-        self.machine.uncore_changed()
+        self.machine.swap("ccx", 0, self.hl)
 
-    def release(self) -> None:
-        self.machine.ccx = self.hl
-        self.machine.uncore_changed()
+    #: no state to transfer back: abandoning is detaching
+    release = detach
 
 
 class _CapturePort:
@@ -527,21 +515,21 @@ class PcieCosimAdapter(CosimAdapterBase):
     def __init__(self, machine) -> None:
         super().__init__()
         self.machine = machine
-        self.hl = machine.pcie
         self.golden_dram = machine.dram.fork()
         self.golden_port = _CapturePort(self.golden_dram.write_word)
         self.target_port = _CapturePort(machine.dma_write_word, self.golden_port)
         # transfer the in-progress descriptor state from the high-level
         # model; the input file is an immutable tuple, shared
+        hl = machine.pcie
         module = self.target = PcieRtl(self.target_port)
-        module.file_words = self.hl.file_words
-        module.dma_dest.write(self.hl.dest_base)
-        module.dma_len.write(len(self.hl.file_words))
-        module.dma_progress.write(self.hl.progress)
-        module.dma_status_addr.write(self.hl.status_addr)
-        module.dma_active.write(1 if self.hl.active else 0)
-        module.start_cycle = self.hl.start_cycle
-        module.finish_cycle = self.hl.finish_cycle
+        module.file_words = hl.file_words
+        module.dma_dest.write(hl.dest_base)
+        module.dma_len.write(len(hl.file_words))
+        module.dma_progress.write(hl.progress)
+        module.dma_status_addr.write(hl.status_addr)
+        module.dma_active.write(1 if hl.active else 0)
+        module.start_cycle = hl.start_cycle
+        module.finish_cycle = hl.finish_cycle
 
     def _new_golden(self) -> PcieRtl:
         return PcieRtl(self.golden_port)
@@ -566,20 +554,17 @@ class PcieCosimAdapter(CosimAdapterBase):
         return self.target.active
 
     def attach(self) -> None:
-        self.machine.pcie = self
-        self.machine.uncore_changed()
+        self.hl = self.machine.swap("pcie", 0, self)
 
     def detach(self) -> None:
         """Copy the descriptor state back to the high-level model."""
         self.hl.progress = self.target.dma_progress.value
         self.hl.active = bool(self.target.dma_active.value)
         self.hl.finish_cycle = self.target.finish_cycle
-        self.machine.pcie = self.hl
-        self.machine.uncore_changed()
+        self.machine.swap("pcie", 0, self.hl)
 
     def release(self) -> None:
-        self.machine.pcie = self.hl
-        self.machine.uncore_changed()
+        self.machine.swap("pcie", 0, self.hl)
 
 
 def make_adapter(machine, component: str, instance: int = 0) -> CosimAdapterBase:

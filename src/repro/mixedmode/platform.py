@@ -84,6 +84,8 @@ class GoldenRun:
     snapshots: "dict[int, dict] | SnapshotChain"
     pcie_window: "tuple[int, int] | None" = None
     retired: int = 0
+    #: the golden machine's :attr:`Machine.program_digest`
+    program_digest: "int | None" = None
 
     def snapshot_at_or_before(self, cycle: int) -> tuple[int, dict]:
         best = 0
@@ -117,8 +119,13 @@ class GoldenRun:
           survive the jump.
 
         ``machine`` must run the configuration the golden run ran on
-        (the watchdog that never fired there is the one checked here).
+        (the watchdog that never fired there is the one checked here),
+        and its programs, or ``ValueError`` is raised: snapshots hold no
+        code, so another program could match a checkpoint and jump to
+        this run's halt state.
         """
+        if machine.program_digest != self.program_digest:
+            raise ValueError("machine runs other programs than the golden run")
         chain = self.snapshots
         cap = min(machine.config.max_cycles, hang_factor_cycles)
         if isinstance(chain, SnapshotChain) and self.cycles <= cap:
@@ -283,6 +290,7 @@ def compute_golden(
         snapshots=chain if chain is not None else {},
         pcie_window=window,
         retired=machine.retired_total,
+        program_digest=machine.program_digest,
     )
 
 
@@ -338,14 +346,9 @@ class MixedModePlatform:
     def sample_injection_point(
         self, component: str, rng: random.Random
     ) -> tuple[int, int, int]:
-        """Random (injection_cycle, instance, target_bit) for a component.
-
-        Delegates to the default fault model: the component-aware window
-        rules (PCIe injections fall inside the DMA transfer window, the
-        paper models PCIe transferring the input file) live in
-        :mod:`repro.faults.windows` now, so the platform no longer
-        branches on component names here.
-        """
+        """Random (injection_cycle, instance, target_bit) for a component,
+        drawn by the default fault model (windows:
+        :mod:`repro.faults.windows`)."""
         event = SingleBitFlip().sample(self, component, rng)
         return event.cycle, event.instance, event.params["bit"]
 
@@ -384,11 +387,7 @@ class MixedModePlatform:
             self.cosim.cosim_cycle_cap
         )
         if warmup is None:
-            warmup = self.cosim.warmup_min + (
-                rng.randrange(self.cosim.warmup_jitter)
-                if self.cosim.warmup_jitter
-                else 0
-            )
+            warmup = self.draw_warmup(rng)
         machine = self.machine
         adapter = self.prepare(component, instance, injection_cycle, warmup)
 
@@ -527,6 +526,11 @@ class MixedModePlatform:
                 machine.run_until_cycle(due)
             live.fire(adapter, machine.cycle)
 
+    def draw_warmup(self, rng: random.Random) -> int:
+        """A warm-up period: ``warmup_min + U[0, warmup_jitter)``."""
+        jitter = self.cosim.warmup_jitter
+        return self.cosim.warmup_min + (rng.randrange(jitter) if jitter else 0)
+
     def hang_cap(self) -> int:
         """Phase 3's cycle budget: a run past it is classified a hang."""
         return int(self.golden.cycles * self.cosim.hang_factor) + 50_000
@@ -563,7 +567,7 @@ class MixedModePlatform:
         machine = self.machine
         if component != "pcie":  # the DMA engine is attached mid-transfer
             for _ in range(self.cosim.quiesce_limit):
-                if self._component_idle(component, instance):
+                if machine.drained(component, instance):
                     break
                 machine.step()
         if build is None:
@@ -573,22 +577,3 @@ class MixedModePlatform:
         adapter = build(machine, component, instance)
         adapter.attach()
         return adapter
-
-    def _component_idle(self, component: str, instance: int) -> bool:
-        machine = self.machine
-        if component == "l2c":
-            mcu_idx = machine.amap.mcu_of_bank(instance)
-            return (
-                machine.l2banks[instance].in_flight() == 0
-                and not machine._bank_ingress[instance]
-                and machine.mcus[mcu_idx].in_flight() == 0
-                and not machine._mcu_ingress[mcu_idx]
-            )
-        if component == "mcu":
-            return (
-                machine.mcus[instance].in_flight() == 0
-                and not machine._mcu_ingress[instance]
-            )
-        if component == "ccx":
-            return machine.ccx.in_flight() == 0
-        return True

@@ -120,8 +120,7 @@ class ValidationExperiment:
         machine = Machine(self.machine_config)
         machine.load_workload(self.image)
         server = _FullCosimBank(machine, bank)
-        machine.l2banks[bank] = server
-        machine.uncore_changed()
+        machine.swap("l2c", bank, server)
         return machine
 
     # ------------------------------------------------------------------

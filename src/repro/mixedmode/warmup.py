@@ -155,8 +155,7 @@ class WarmupExperiment:
             machine = Machine(self.machine_config)
             machine.load_workload(image)
             server = _FullCosimBank(machine, bank)
-            machine.l2banks[bank] = server
-            machine.uncore_changed()
+            machine.swap("l2c", bank, server)
             machine.run_until_cycle(attach_at)
             # sample a busy instant: at the paper's 64-thread scale the
             # bank is essentially always mid-operation when co-simulation

@@ -17,6 +17,7 @@ import time
 from pathlib import Path
 
 from repro.obs.registry import REGISTRY
+from repro.utils.atomic import write_atomic
 
 SNAPSHOT_VERSION = 1
 
@@ -43,13 +44,7 @@ def write_snapshot(path: "str | Path", registry=None) -> dict:
     """Atomically write a snapshot file (write-then-rename, matching the
     result cache's crash discipline); returns the snapshot."""
     doc = snapshot(registry)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    tmp.replace(path)
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return doc
 
 

@@ -56,10 +56,7 @@ class QrrCampaign:
         rng = random.Random(seed)
         records = []
         for index in range(n_injections):
-            if self.component == "l2c":
-                instance = rng.randrange(plat.machine_config.l2_banks)
-            else:
-                instance = rng.randrange(plat.machine_config.mcus)
+            instance = rng.randrange(plat.machine_config.instances(self.component))
             cycle = rng.randrange(1, max(2, plat.golden.cycles - 1))
             recovered, recovery_cycles, detected = self._one_run(
                 instance, cycle, rng
@@ -80,9 +77,7 @@ class QrrCampaign:
         plat = self.platform
         machine = plat.machine
         # warm up so the record table holds live in-flight requests
-        warmup = plat.cosim.warmup_min + rng.randrange(
-            max(1, plat.cosim.warmup_jitter)
-        )
+        warmup = plat.draw_warmup(rng)
         # the QRR-protected RTL server stands in for the component
         server = plat.prepare(
             self.component, instance, cycle, warmup, build=_build_server

@@ -31,7 +31,6 @@ class QrrL2cServer:
     def __init__(self, machine, bank: int) -> None:
         self.machine = machine
         self.bank = bank
-        self.hl = machine.l2banks[bank]
         self.rtl = L2cRtl(
             bank, machine.amap, machine.config.l2_ways, send_mcu=machine._send_mcu
         )
@@ -209,13 +208,11 @@ class QrrL2cServer:
 
     # ------------------------------------------------------------------
     def attach(self) -> None:
-        self.machine.l2banks[self.bank] = self
-        self.machine.uncore_changed()
+        self.hl = self.machine.swap("l2c", self.bank, self)
 
     def detach(self) -> None:
         self.rtl.extract_state(self.machine.l2states[self.bank])
-        self.machine.l2banks[self.bank] = self.hl
-        self.machine.uncore_changed()
+        self.machine.swap("l2c", self.bank, self.hl)
 
 
 class QrrMcuServer:
@@ -232,7 +229,6 @@ class QrrMcuServer:
     def __init__(self, machine, mcu_idx: int) -> None:
         self.machine = machine
         self.mcu_idx = mcu_idx
-        self.hl = machine.mcus[mcu_idx]
         self.rtl = McuRtl(mcu_idx, machine.dram)
         #: read requests not yet answered, in arrival order
         self._reads: deque[McuRequest] = deque()
@@ -318,9 +314,7 @@ class QrrMcuServer:
         return self.rtl.in_flight() + len(self._replay)
 
     def attach(self) -> None:
-        self.machine.mcus[self.mcu_idx] = self
-        self.machine.uncore_changed()
+        self.hl = self.machine.swap("mcu", self.mcu_idx, self)
 
     def detach(self) -> None:
-        self.machine.mcus[self.mcu_idx] = self.hl
-        self.machine.uncore_changed()
+        self.machine.swap("mcu", self.mcu_idx, self.hl)

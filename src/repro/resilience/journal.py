@@ -12,7 +12,7 @@ in which order, and how far it got.  The journal records exactly that:
   JSON embeds), the digest-keyed cell list in reporting order, and a
   per-cell state persisted from the executor event stream's cell
   ledger (:class:`repro.obs.ProgressState`) as results land.
-* Every write is atomic (unique temp name + ``os.replace``, the same
+* Every write is atomic (``repro.utils.atomic.write_atomic``, the same
   discipline as the result bus), so a SIGKILL at any instant leaves
   either the previous or the next journal -- never a torn one.
 * ``repro sweep --resume DIR`` rebuilds the grid from the journal,
@@ -30,13 +30,12 @@ canonical result bytes.
 
 from __future__ import annotations
 
-import itertools
 import json
-import os
 import time
 from pathlib import Path
 
 from repro.obs.progress import ProgressState
+from repro.utils.atomic import write_atomic
 
 #: Bump when the journal layout changes incompatibly.
 JOURNAL_VERSION = 1
@@ -53,8 +52,6 @@ DEFAULT_BUS_NAME = "bus"
 #: spent their attempt budget (the cluster's local merge pass still
 #: computes them, after which they land).
 CELL_STATES = ("pending", "landed", "failed", "exhausted")
-
-_TMP_IDS = itertools.count()
 
 
 def journal_path(directory: "str | Path") -> Path:
@@ -254,13 +251,7 @@ class SweepJournal:
         """Atomically publish the manifest (write-then-rename with a
         unique temp name, the result-bus discipline: a SIGKILL mid-write
         leaves the previous manifest intact)."""
-        path = journal_path(self.directory)
-        path.parent.mkdir(parents=True, exist_ok=True)
         blob = json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":")
         )
-        tmp = path.with_name(
-            f"{path.name}.{os.getpid()}.{next(_TMP_IDS)}.tmp"
-        )
-        tmp.write_text(blob + "\n")
-        tmp.replace(path)
+        write_atomic(journal_path(self.directory), blob + "\n")

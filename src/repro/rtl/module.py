@@ -22,10 +22,14 @@ from collections.abc import Mapping
 
 from repro.rtl.compare import Mismatch, MismatchKind, compare_modules
 from repro.rtl.registers import FlipFlopClass, Register, RegisterArray, SramArray
+from repro.soc.geometry import ComponentSpec
 
 
 class RtlModule:
     """A cycle-level, flip-flop-accurate hardware module model."""
+
+    #: the Table 3/4 row this module models (see :meth:`pad`)
+    spec: "ComponentSpec | None" = None
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -83,6 +87,36 @@ class RtlModule:
         for reg in self._registers.values():
             counts[reg.ff_class] += reg.flip_flops
         return counts
+
+    def _table4_count(self, ff_class: FlipFlopClass) -> int:
+        return getattr(self.spec, f"{ff_class.value}_ffs")
+
+    def pad(self, ff_class: FlipFlopClass, name: str, width: int = 0) -> None:
+        """Declare the flip-flops that bring ``ff_class`` up to its
+        Table 4 count in :attr:`spec`: one register ``name`` holding the
+        whole remainder, or, given ``width``, a non-functional bank
+        ``{name}_bank`` of ``width``-bit entries plus a ``{name}_tail``
+        register for what is left over."""
+        remaining = (
+            self._table4_count(ff_class) - self.flip_flop_count_by_class()[ff_class]
+        )
+        if remaining <= 0:  # pragma: no cover - inventories are static
+            raise AssertionError(f"{self.name}: {ff_class.value} inventory too large")
+        if not width:
+            self.reg(name, remaining, ff_class=ff_class)
+            return
+        entries, tail = divmod(remaining, width)
+        flags = dict(ff_class=ff_class, functional=False)
+        self.reg_array(f"{name}_bank", entries, width, **flags)
+        if tail:
+            self.reg(f"{name}_tail", tail, **flags)
+
+    def check_totals(self) -> None:
+        """Assert the inventory matches :attr:`spec` (Tables 3 and 4)."""
+        counts = self.flip_flop_count_by_class()
+        for ff_class, count in counts.items():
+            assert count == self._table4_count(ff_class), (self.name, ff_class)
+        assert self.flip_flop_count() == self.spec.flip_flops, self.name
 
     def target_flip_flop_count(self) -> int:
         """Flip-flops eligible for error injection (Table 4 column 1)."""

@@ -33,6 +33,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from repro.serve.service import AdmissionError, CampaignService, UnknownJob
+from repro.utils.atomic import write_atomic
 
 #: Maximum accepted request body (a grid description is tiny; anything
 #: bigger is a mistake or abuse).
@@ -249,8 +250,6 @@ def write_endpoint_file(
 ) -> Path:
     """Advertise the bound endpoint atomically (``--port 0`` discovery
     for tests, CI, and scripts)."""
-    path = endpoint_path(state_dir)
-    path.parent.mkdir(parents=True, exist_ok=True)
     doc = {
         "url": f"http://{host}:{port}",
         "host": host,
@@ -258,9 +257,7 @@ def write_endpoint_file(
         "pid": os.getpid(),
         "started": round(time.time(), 6),
     }
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return write_atomic(
+        endpoint_path(state_dir),
+        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
     )
-    tmp.replace(path)
-    return path

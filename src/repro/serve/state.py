@@ -25,9 +25,7 @@ or canonical result bytes.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
-import os
 import time
 from pathlib import Path
 
@@ -35,6 +33,7 @@ from repro.api.grid import Grid
 from repro.api.result import dumps_canonical
 from repro.api.spec import ExperimentSpec
 from repro.resilience import SweepJournal
+from repro.utils.atomic import write_atomic
 
 #: Bump when the job manifest layout changes incompatibly.
 JOB_VERSION = 1
@@ -44,8 +43,6 @@ JOB_VERSION = 1
 #: ``failed``/``cancelled`` jobs stay inspectable and may be
 #: resubmitted (the resubmission resets them to ``queued``).
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
-
-_TMP_IDS = itertools.count()
 
 
 def normalize_request(request: dict) -> "tuple[dict, list[ExperimentSpec]]":
@@ -197,8 +194,9 @@ class JobStore:
 
     Pure persistence -- locking, queueing and admission live in
     :class:`repro.serve.service.CampaignService`.  Every manifest write
-    is atomic (unique temp + ``os.replace``), so a SIGKILL at any
-    instant leaves the previous or the next manifest, never a torn one.
+    is atomic (:func:`~repro.utils.atomic.write_atomic`), so a SIGKILL
+    at any instant leaves the previous or the next manifest, never a
+    torn one.
     """
 
     def __init__(self, root: "str | Path", bus: "str | Path") -> None:
@@ -225,12 +223,8 @@ class JobStore:
         return job
 
     def save(self, job: Job) -> None:
-        path = self.job_dir(job.id) / "job.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
         blob = json.dumps(job.to_dict(), sort_keys=True, separators=(",", ":"))
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_TMP_IDS)}.tmp")
-        tmp.write_text(blob + "\n")
-        tmp.replace(path)
+        write_atomic(self.job_dir(job.id) / "job.json", blob + "\n")
 
     def journal(self, job: Job) -> SweepJournal:
         return SweepJournal.load(self.job_dir(job.id))

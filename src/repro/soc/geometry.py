@@ -2,9 +2,10 @@
 
 These are the published figures for the OpenSPARC T2 SoC (500M
 transistors, eight cores, eight L2 cache banks, four DRAM controllers,
-one crossbar, one PCI Express controller).  The RTL models in
-:mod:`repro.uncore` declare register inventories whose flip-flop totals
-match these numbers exactly; the tests assert the correspondence.
+one crossbar, one PCI Express controller).  They are the one source of
+these numbers: the RTL models in :mod:`repro.uncore` pad their register
+inventories to them (:meth:`repro.rtl.module.RtlModule.pad`) and check
+the totals at construction.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ Binds cores, crossbar, L2 banks, MCUs, the PCIe DMA engine and DRAM into
 a cycle-steppable SoC.  All uncore components are pluggable: the
 mixed-mode platform swaps a high-level model for an RTL adapter at
 co-simulation entry and back at exit.  **Anything that swaps an uncore
-component in or out must call :meth:`Machine.uncore_changed`** so the
-event-driven engine reschedules it (the shipped adapters and QRR servers
-do).
+component in or out goes through :meth:`Machine.swap`**, which writes
+the slot and reschedules it for the event-driven engine.
 
 Two cycle engines share identical observable behaviour:
 
@@ -95,6 +94,14 @@ class MachineConfig:
     def total_threads(self) -> int:
         return self.cores * self.threads_per_core
 
+    def instances(self, component: str) -> int:
+        """Instances of an uncore component on this machine."""
+        if component == "l2c":
+            return self.l2_banks
+        if component == "mcu":
+            return self.mcus
+        return 1
+
     def to_dict(self) -> dict:
         """Plain-dict form for the experiment-spec JSON schema."""
         return dataclasses.asdict(self)
@@ -155,6 +162,9 @@ class Machine:
         #: first load touching one records the propagation cycle.
         self.corrupt_watch: set[int] = set()
         self.corrupt_read_cycle: "int | None" = None
+        #: process-local digest of the loaded programs (snapshots hold
+        #: no code, so this is what ties a machine to its golden run)
+        self.program_digest: "int | None" = None
 
         self.ccx = HighLevelCcx(latency=config.ccx_latency)
         self.cores: list[Core] = [
@@ -309,10 +319,8 @@ class Machine:
         """Coherent device write (PCIe DMA): memory plus resident L2 copy."""
         self.dram.write_word(addr, value)
         bank = self.amap.bank_of(addr)
-        server = self.l2banks[bank]
-        if hasattr(server, "dma_update"):
-            server.dma_update(addr, value)
-            self._dirty_banks[bank] = True
+        self.l2banks[bank].dma_update(addr, value)
+        self._dirty_banks[bank] = True
 
     def _route_mcu_reply(self, reply: McuReply) -> None:
         bank = reply.src_bank
@@ -443,15 +451,50 @@ class Machine:
             self._advance(limit, True)
 
     def uncore_changed(self) -> None:
-        """Reschedule after an uncore component swap.
-
-        Must be called whenever ``machine.ccx``, ``machine.pcie`` or an
-        entry of ``machine.l2banks``/``machine.mcus`` is replaced (the
-        co-simulation adapters and QRR servers do this in their
-        attach/detach/release paths); otherwise the event engine may keep
-        an earlier component's sleep schedule for the new one.
-        """
+        """Reschedule after an uncore component changed outside the step
+        loop (an injection into a sleeping adapter); otherwise the event
+        engine may keep its earlier sleep schedule.  :meth:`swap` calls
+        it for every component swap."""
         self._refresh_wakes()
+
+    def swap(self, component: str, instance: int, server):
+        """Put ``server`` in ``component``'s slot ``instance`` and
+        reschedule; returns the previous occupant.  The one writer of
+        ``l2banks``, ``mcus``, ``ccx`` and ``pcie`` after construction:
+        the co-simulation adapters and QRR servers attach, detach and
+        release through it."""
+        if component == "l2c":
+            previous, self.l2banks[instance] = self.l2banks[instance], server
+        elif component == "mcu":
+            previous, self.mcus[instance] = self.mcus[instance], server
+        elif component == "ccx":
+            previous, self.ccx = self.ccx, server
+        elif component == "pcie":
+            previous, self.pcie = self.pcie, server
+        else:
+            raise ValueError(f"unknown uncore component {component!r}")
+        self.uncore_changed()
+        return previous
+
+    def drained(self, component: str, instance: int) -> bool:
+        """Whether ``component``'s slot ``instance`` holds no work: no
+        operation in flight and nothing queued at its ingress.  An L2C
+        bank also waits for its MCU, which owes it fills.  The DMA
+        engine counts as drained (it is attached mid-transfer)."""
+        if component == "mcu":
+            return (
+                self.mcus[instance].in_flight() == 0
+                and not self._mcu_ingress[instance]
+            )
+        if component == "l2c":
+            return (
+                self.l2banks[instance].in_flight() == 0
+                and not self._bank_ingress[instance]
+                and self.drained("mcu", self.amap.mcu_of_bank(instance))
+            )
+        if component == "ccx":
+            return self.ccx.in_flight() == 0
+        return True
 
     def _recount_threads(self) -> None:
         live = trapped = 0
@@ -513,6 +556,7 @@ class Machine:
             self.alloc_region(base, size, name)
         for addr, value in image.init_words.items():
             self.dram.write_word(addr, value)
+        self.program_digest = hash(tuple(image.programs))
         tpc = self.config.threads_per_core
         for idx, program in enumerate(image.programs):
             core = self.cores[idx // tpc]

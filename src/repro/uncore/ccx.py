@@ -12,9 +12,8 @@ answered with data for the aliased line, or the reply reaches the wrong
 core and is dropped there.  Both reproduce real crossbar failure modes.
 
 The crossbar has no high-level uncore state (Table 1 footnote: its state
-is reconstructed in co-simulation mode), no ECC-protected flip-flops and
-only 340 inactive ones (Table 4: 41,181 of 41,521 flip-flops are
-injection targets).
+is reconstructed in co-simulation mode) and no ECC-protected
+flip-flops; the inventory pads to ``T2_GEOMETRY["ccx"]`` (Table 4).
 """
 
 from __future__ import annotations
@@ -22,17 +21,12 @@ from __future__ import annotations
 from repro.rtl.compare import Mismatch, MismatchKind
 from repro.rtl.module import RtlModule
 from repro.rtl.registers import FlipFlopClass
+from repro.soc.geometry import T2_GEOMETRY
 from repro.soc.address import AddressMap
 from repro.soc.packets import CpxPacket, PcxPacket
 
 PORTS = 8
 FIFO_DEPTH = 8
-
-#: Table 3 / Table 4 totals.
-TOTAL_FFS = 41_521
-TARGET_FFS = 41_181
-PROTECTED_FFS = 0
-INACTIVE_FFS = 340
 
 _FIELDS = dict(valid=1, ptype=3, core=3, thread=3, addr=40, data=64, reqid=16)
 #: the packet payload fields, in ``pack_fields`` order
@@ -67,6 +61,8 @@ class _Channel:
 class CcxRtl(RtlModule):
     """RTL model of the crossbar (single instance on the chip)."""
 
+    spec = T2_GEOMETRY["ccx"]
+
     def __init__(self, amap: AddressMap) -> None:
         super().__init__("ccx")
         self.amap = amap
@@ -84,19 +80,8 @@ class CcxRtl(RtlModule):
         # inactive BIST chain (Table 4)
         self.reg_array("bist_scan_chain", 340, 1, ff_class=FlipFlopClass.INACTIVE)
         # steering configuration shadow / debug capture registers
-        used = self.flip_flop_count_by_class()[FlipFlopClass.TARGET]
-        remaining = TARGET_FFS - used
-        if remaining <= 0:  # pragma: no cover
-            raise AssertionError("CCX inventory exceeds Table 4 target count")
-        width = 67
-        entries, tail = divmod(remaining, width)
-        self.reg_array("steer_debug_bank", entries, width, functional=False)
-        if tail:
-            self.reg("steer_debug_tail", tail, functional=False)
-        counts = self.flip_flop_count_by_class()
-        assert counts[FlipFlopClass.TARGET] == TARGET_FFS
-        assert counts[FlipFlopClass.INACTIVE] == INACTIVE_FFS
-        assert self.flip_flop_count() == TOTAL_FFS
+        self.pad(FlipFlopClass.TARGET, "steer_debug", width=67)
+        self.check_totals()
 
         self._pcx_ch = _Channel(self._registers, "pcx")
         self._cpx_ch = _Channel(self._registers, "cpx")

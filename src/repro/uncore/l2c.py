@@ -20,9 +20,7 @@ The architected arrays (tag, state, data, L1 directory, victim pointers)
 are SRAM -- part of the Table 1 high-level state and transferred to/from
 :class:`repro.mem.l2state.L2BankState` at co-simulation entry/exit.
 
-The register inventory totals exactly the Table 3 / Table 4 figures for
-the L2C: 31,675 flip-flops per instance, of which 18,369 are injection
-targets, 8,650 ECC/CRC-protected and 4,656 inactive.
+The register inventory pads to ``T2_GEOMETRY["l2c"]`` (Tables 3 and 4).
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from repro.mem.l2state import L2BankState
 from repro.rtl.compare import Mismatch, MismatchKind
 from repro.rtl.module import RtlModule
 from repro.rtl.registers import FlipFlopClass
+from repro.soc.geometry import T2_GEOMETRY
 from repro.soc.address import AddressMap, WORDS_PER_LINE
 from repro.soc.packets import (
     CpxPacket,
@@ -53,18 +52,14 @@ INVQ_ENTRIES = 16
 #: packet field widths: valid + type + core + thread + addr + data + reqid
 _PKT_BITS = dict(valid=1, ptype=3, core=3, thread=3, addr=40, data=64, reqid=16)
 
-#: Table 3 / Table 4 totals for one L2C instance.
-TOTAL_FFS = 31_675
-TARGET_FFS = 18_369
-PROTECTED_FFS = 8_650
-INACTIVE_FFS = 4_656
-
 _LINE_MASK = (1 << 512) - 1
 _WORD_MASK = (1 << 64) - 1
 
 
 class L2cRtl(RtlModule):
     """RTL model of one L2C bank instance."""
+
+    spec = T2_GEOMETRY["l2c"]
 
     def __init__(
         self,
@@ -186,37 +181,19 @@ class L2cRtl(RtlModule):
         )
         self.reg_array("ecc_data_out", 2, 576, ff_class=FlipFlopClass.PROTECTED)
         self.reg_array("ecc_dir_stage", 2, 576, ff_class=FlipFlopClass.PROTECTED)
-        used_prot = self.flip_flop_count_by_class()[FlipFlopClass.PROTECTED]
-        self.reg(
-            "ecc_tag_stage",
-            PROTECTED_FFS - used_prot,
-            ff_class=FlipFlopClass.PROTECTED,
-        )
+        self.pad(FlipFlopClass.PROTECTED, "ecc_tag_stage")
 
         # ---- inactive BIST / redundancy chains (Table 4: excluded) ---------------
         self.reg_array("bist_scan_chain", 97, 48, ff_class=FlipFlopClass.INACTIVE)
 
         # ---- balance register bank: brings the target total to Table 4 ------------
-        used = self.flip_flop_count_by_class()[FlipFlopClass.TARGET]
-        remaining = TARGET_FFS - used
-        if remaining <= 0:  # pragma: no cover - inventory is static
-            raise AssertionError("L2C inventory exceeds Table 4 target count")
-        width = 61
-        entries, tail = divmod(remaining, width)
-        self.reg_array("csr_shadow_bank", entries, width, functional=False)
-        if tail:
-            self.reg("csr_shadow_tail", tail, functional=False)
+        self.pad(FlipFlopClass.TARGET, "csr_shadow", width=61)
+        self.check_totals()
 
         #: every valid array a tick consumes (see :meth:`idle`)
         self._live_valids = tuple(stage[0] for stage in self._pipe) + (
             self._mb[0], self.fq_valid, self.wbb_valid, self.invq_valid
         )
-
-        counts = self.flip_flop_count_by_class()
-        assert counts[FlipFlopClass.TARGET] == TARGET_FFS
-        assert counts[FlipFlopClass.PROTECTED] == PROTECTED_FFS
-        assert counts[FlipFlopClass.INACTIVE] == INACTIVE_FFS
-        assert self.flip_flop_count() == TOTAL_FFS
 
         #: store-miss completions observed this tick (QRR hook).
         self.store_miss_completions: list[int] = []

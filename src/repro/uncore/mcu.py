@@ -13,10 +13,9 @@ Microarchitecture:
 * ECC-protected data-path staging (excluded per Table 4),
 * BIST/redundancy chains (inactive per Table 4).
 
-Inventory matches Table 3 / Table 4: 18,068 flip-flops per instance;
-12,007 targets, 4,782 protected, 1,279 inactive.  The architected state
-is the DRAM contents themselves (Table 1), which live outside the module
-in :class:`repro.mem.dram.Dram`.
+The inventory pads to ``T2_GEOMETRY["mcu"]`` (Tables 3 and 4).  The
+architected state is the DRAM contents themselves (Table 1), which live
+outside the module in :class:`repro.mem.dram.Dram`.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from __future__ import annotations
 from repro.rtl.compare import Mismatch, MismatchKind
 from repro.rtl.module import RtlModule
 from repro.rtl.registers import FlipFlopClass
+from repro.soc.geometry import T2_GEOMETRY
 from repro.soc.address import WORDS_PER_LINE
 from repro.soc.packets import McuOp, McuReply, McuRequest
 
@@ -39,17 +39,13 @@ ROW_MISS_LATENCY = 58
 REFRESH_INTERVAL = 2048
 REFRESH_CYCLES = 12
 
-#: Table 3 / Table 4 totals for one MCU instance.
-TOTAL_FFS = 18_068
-TARGET_FFS = 12_007
-PROTECTED_FFS = 4_782
-INACTIVE_FFS = 1_279
-
 _WORD_MASK = (1 << 64) - 1
 
 
 class McuRtl(RtlModule):
     """RTL model of one MCU instance."""
+
+    spec = T2_GEOMETRY["mcu"]
 
     def __init__(self, mcu_idx: int, dram) -> None:
         super().__init__(f"mcu{mcu_idx}")
@@ -121,32 +117,14 @@ class McuRtl(RtlModule):
 
         # ---- ECC-protected data path (Table 4: excluded) -----------------------------------
         self.reg_array("ecc_rrq_stage", 2, 576, ff_class=FlipFlopClass.PROTECTED)
-        used_prot = self.flip_flop_count_by_class()[FlipFlopClass.PROTECTED]
-        self.reg(
-            "ecc_syndrome_pipe",
-            PROTECTED_FFS - used_prot,
-            ff_class=FlipFlopClass.PROTECTED,
-        )
+        self.pad(FlipFlopClass.PROTECTED, "ecc_syndrome_pipe")
 
         # ---- inactive BIST chains (Table 4: excluded) ----------------------------------------
         self.reg_array("bist_scan_chain", 1279, 1, ff_class=FlipFlopClass.INACTIVE)
 
         # ---- balance bank ------------------------------------------------------------------------
-        used = self.flip_flop_count_by_class()[FlipFlopClass.TARGET]
-        remaining = TARGET_FFS - used
-        if remaining <= 0:  # pragma: no cover - inventory is static
-            raise AssertionError("MCU inventory exceeds Table 4 target count")
-        width = 59
-        entries, tail = divmod(remaining, width)
-        self.reg_array("calib_shadow_bank", entries, width, functional=False)
-        if tail:
-            self.reg("calib_shadow_tail", tail, functional=False)
-
-        counts = self.flip_flop_count_by_class()
-        assert counts[FlipFlopClass.TARGET] == TARGET_FFS
-        assert counts[FlipFlopClass.PROTECTED] == PROTECTED_FFS
-        assert counts[FlipFlopClass.INACTIVE] == INACTIVE_FFS
-        assert self.flip_flop_count() == TOTAL_FFS
+        self.pad(FlipFlopClass.TARGET, "calib_shadow", width=59)
+        self.check_totals()
 
         #: replies produced this tick.
         self.replies: list[McuReply] = []

@@ -11,7 +11,7 @@ path at flip-flop granularity:
   couple of cycles,
 * a 16-entry TLP replay buffer (retransmission storage, rotating),
 * sequence counters and flow-control credit registers,
-* LCRC/ECC-protected staging (Table 4: 5,539 protected flip-flops),
+* LCRC/ECC-protected staging (excluded per Table 4),
 * the RX/TX transfer-buffer SRAMs of Table 1 (8KB / 4KB).
 
 Failure modes emerge naturally: a flipped destination or progress bit
@@ -21,8 +21,7 @@ prevents the completion flag from ever being written (the application
 polls forever -> Hang); payload-stage flips corrupt input data values
 (the paper's explanation for the PCIe's high OMM rate, Sec. 3.3).
 
-Inventory matches Table 3 / Table 4: 29,022 flip-flops, 23,483 targets,
-5,539 protected, 0 inactive.
+The inventory pads to ``T2_GEOMETRY["pcie"]`` (Tables 3 and 4).
 """
 
 from __future__ import annotations
@@ -32,12 +31,7 @@ from collections.abc import Sequence
 from repro.rtl.compare import Mismatch, MismatchKind
 from repro.rtl.module import RtlModule
 from repro.rtl.registers import FlipFlopClass
-
-#: Table 3 / Table 4 totals.
-TOTAL_FFS = 29_022
-TARGET_FFS = 23_483
-PROTECTED_FFS = 5_539
-INACTIVE_FFS = 0
+from repro.soc.geometry import T2_GEOMETRY
 
 REPLAY_ENTRIES = 16
 DMA_DONE_FLAG = 1
@@ -47,6 +41,8 @@ _WORD_MASK = (1 << 64) - 1
 
 class PcieRtl(RtlModule):
     """RTL model of the PCIe controller's DMA input engine."""
+
+    spec = T2_GEOMETRY["pcie"]
 
     def __init__(self, port) -> None:
         """``port`` provides ``write_word(addr, value)`` (coherent path)."""
@@ -101,24 +97,11 @@ class PcieRtl(RtlModule):
 
         # ---- LCRC / ECC protected staging (Table 4: excluded) -----------------------------
         self.reg_array("lcrc_replay_stage", 8, 640, ff_class=FlipFlopClass.PROTECTED)
-        self.reg("lcrc_pipe", 419, ff_class=FlipFlopClass.PROTECTED)
+        self.pad(FlipFlopClass.PROTECTED, "lcrc_pipe")
 
         # ---- balance bank ---------------------------------------------------------------------
-        used = self.flip_flop_count_by_class()[FlipFlopClass.TARGET]
-        remaining = TARGET_FFS - used
-        if remaining <= 0:  # pragma: no cover
-            raise AssertionError("PCIe inventory exceeds Table 4 target count")
-        width = 63
-        entries, tail = divmod(remaining, width)
-        self.reg_array("tlp_tracking_bank", entries, width, functional=False)
-        if tail:
-            self.reg("tlp_tracking_tail", tail, functional=False)
-
-        counts = self.flip_flop_count_by_class()
-        assert counts[FlipFlopClass.TARGET] == TARGET_FFS
-        assert counts[FlipFlopClass.PROTECTED] == PROTECTED_FFS
-        assert counts[FlipFlopClass.INACTIVE] == INACTIVE_FFS
-        assert self.flip_flop_count() == TOTAL_FFS
+        self.pad(FlipFlopClass.TARGET, "tlp_tracking", width=63)
+        self.check_totals()
 
         #: host-side source data (outside the chip; not injectable state;
         #: read only, so the co-simulation adapters share one tuple)

@@ -77,6 +77,13 @@ def _carrier() -> WorkloadImage:
     return _image(_stores(400, 0x100), _stores(400, 0x200), init={BASE: 1})
 
 
+def _as_own(golden, machine):
+    """``golden`` relabelled as a golden run of ``machine``'s programs,
+    which ``finish`` requires.  Only for the carrier, whose initial word
+    keeps it from jumping to its own halt state."""
+    return dataclasses.replace(golden, program_digest=machine.program_digest)
+
+
 def _machine(image: WorkloadImage, engine: str, config=CFG) -> Machine:
     machine = Machine(config, engine=engine)
     machine.load_workload(image)
@@ -183,7 +190,10 @@ class TestExitsAgree:
         hang = CFG.max_cycles
         for engine in ENGINES:
             assert _result(make(engine, config).run()) == _result(want), engine
-            finished = carrier_golden[engine].finish(make(engine, config), hang)
+            machine = make(engine, config)
+            finished = _as_own(carrier_golden[engine], machine).finish(
+                machine, hang
+            )
             assert _result(finished) == _result(want), engine
 
     def test_exits_fall_inside_the_checkpoint_loop(self, carrier_golden):
@@ -194,6 +204,22 @@ class TestExitsAgree:
             make, config = PROGRAMS[kind]
             _kind, cycle = _stepped(make("reference", config))
             assert cycle % COSIM.snapshot_interval and cycle < last, kind
+
+
+class TestFinishGuard:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_finish_refuses_other_programs(self, engine):
+        """Without the carrier's initial word another program's state
+        equals checkpoint 0, so ``finish`` would jump to the carrier's
+        halt state; it refuses the machine instead."""
+        golden = compute_golden(
+            _machine(_image(_stores(400, 0x100), _stores(400, 0x200)), engine),
+            COSIM,
+        )
+        machine = _machine(_completes(), engine)
+        assert machine.snapshot() == golden.snapshots[0]
+        with pytest.raises(ValueError, match="other programs"):
+            golden.finish(machine, CFG.max_cycles)
 
 
 class TestAdvanceToExit:
