@@ -21,6 +21,8 @@ executes the three phases of Fig. 2:
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.faults.event import FaultEvent
@@ -58,7 +60,11 @@ class CosimConfig:
             Sec. 4.2 quantifies the cut-off).
         hang_factor: phase-3 cycle budget as a multiple of the error-free
             length before declaring a Hang.
-        quiesce_limit: bound on waiting for the component to go idle.
+        quiesce_limit: bound on waiting for the component to go idle:
+            the target attaches at the first cycle boundary at which it
+            is drained, or ``quiesce_limit`` cycles after the injection
+            cycle, whichever comes first
+            (:meth:`MixedModePlatform._attach_quiesced`).
     """
 
     snapshot_interval: int = 250
@@ -77,6 +83,11 @@ class GoldenRun:
     ``snapshots`` maps checkpoint cycle to a full machine snapshot; it
     is usually a :class:`~repro.system.snapshots.SnapshotChain` (deltas
     on disk -- materialized on access), but any mapping works.
+
+    ``ccx_drains`` is the crossbar drain log over the run's cycle
+    boundaries ``0 .. cycles`` (:meth:`Machine.log_ccx_drains`), kept by
+    an event-engine run with a chain and None otherwise;
+    :meth:`ccx_quiesced` reads it.
     """
 
     cycles: int
@@ -86,13 +97,41 @@ class GoldenRun:
     retired: int = 0
     #: the golden machine's :attr:`Machine.program_digest`
     program_digest: "int | None" = None
+    ccx_drains: "array | None" = None
+    #: the checkpoint cycles, sorted
+    _checkpoints: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._checkpoints = sorted(self.snapshots)
+
+    def checkpoint_at_or_before(self, cycle: int) -> int:
+        """The last checkpoint cycle ``<= cycle`` (0 when there is none)."""
+        i = bisect_right(self._checkpoints, cycle)
+        return self._checkpoints[i - 1] if i else 0
 
     def snapshot_at_or_before(self, cycle: int) -> tuple[int, dict]:
-        best = 0
-        for c in self.snapshots:
-            if c <= cycle and c >= best:
-                best = c
+        best = self.checkpoint_at_or_before(cycle)
         return best, self.snapshots[best]
+
+    def ccx_quiesced(self, cycle: int, limit: int) -> "int | None":
+        """The boundary at which a crossbar quiesce wait of at most
+        ``limit`` cycles that starts at boundary ``cycle`` of this run
+        attaches: the first drained boundary ``>= cycle``, or
+        ``cycle + limit`` when none comes sooner.  None when the drain
+        log cannot tell: there is none, or that boundary lies past the
+        run's end, which the log does not reach.
+        """
+        log = self.ccx_drains
+        if log is None:
+            return None
+        i = bisect_right(log, cycle)
+        if i % 2:  # inside a drained stretch
+            attach = cycle
+        elif i < len(log):
+            attach = min(log[i], cycle + limit)
+        else:
+            attach = cycle + limit
+        return attach if attach <= self.cycles else None
 
     def finish(self, machine: Machine, hang_factor_cycles: int) -> RunResult:
         """Phase 3: ``machine.run(hang_factor_cycles=...)`` with an exact
@@ -236,8 +275,10 @@ def compute_golden(
     dirty-state deltas).
     """
     chain = SnapshotChain(machine) if keep_snapshots else None
+    drains = None
     if chain is not None:
         chain.checkpoint()
+        drains = machine.log_ccx_drains()
     cf = cosim.snapshot_interval
     cap = machine.config.max_cycles
     # obs handles resolved once (null no-ops when disabled); the tracer
@@ -280,6 +321,7 @@ def compute_golden(
             raise RuntimeError("golden run exceeded the cycle cap")
         else:
             raise RuntimeError("golden run hung")
+    machine.ccx_drain_log = None
     if chain is not None:
         chain.finalize()
     machine.obs_flush()
@@ -291,6 +333,7 @@ def compute_golden(
         pcie_window=window,
         retired=machine.retired_total,
         program_digest=machine.program_digest,
+        ccx_drains=drains,
     )
 
 
@@ -322,6 +365,9 @@ class MixedModePlatform:
         )
         self.machine = self._fresh_machine()
         self.golden = self._golden_run()
+        #: where the next :meth:`_attach_quiesced` stops waiting (set by
+        #: :meth:`prepare`)
+        self._quiesce_by: "int | None" = None
 
     # ------------------------------------------------------------------
     # Golden run (one-time, Sec. 2.2 phase 1 setup)
@@ -548,11 +594,34 @@ class MixedModePlatform:
         ``injection_cycle``, fast-forward to it, quiesce the target and
         attach its RTL (see :meth:`_attach_quiesced` for ``build``), then
         warm up for ``warmup`` cycles.  Returns the attached adapter or
-        server; every injection, QRR and persistence run starts here."""
+        server; every injection, QRR and persistence run starts here.
+
+        Until the attach the machine holds only high-level models
+        restored from the golden chain, so it replays the golden run.
+        A crossbar target's quiesce wait is therefore read from the
+        golden run's drain log (:meth:`GoldenRun.ccx_quiesced`) rather
+        than stepped: the machine restores the checkpoint at or before
+        the attach boundary and fast-forwards to it, where
+        :meth:`_attach_quiesced` finds nothing left to wait for.  The
+        attach cycle and machine state are those of the stepped wait.
+        """
         machine = self.machine
-        _snap_cycle, snap = self.golden.snapshot_at_or_before(injection_cycle)
+        golden = self.golden
+        snap_cycle, snap = golden.snapshot_at_or_before(injection_cycle)
+        start = injection_cycle
+        limit = self.cosim.quiesce_limit
+        if component == "ccx":
+            attach = golden.ccx_quiesced(injection_cycle, limit)
+            if attach is not None:
+                start = attach
+                ckpt = golden.checkpoint_at_or_before(attach)
+                if ckpt > snap_cycle:
+                    # not chain[ckpt]: run tracers read a mapping lookup
+                    # as the start of a new run
+                    snap = golden.snapshots.state_at(ckpt)
         machine.restore(snap)
-        machine.run_until_cycle(injection_cycle)
+        machine.run_until_cycle(start)
+        self._quiesce_by = injection_cycle + limit
         if build is None:  # the two-argument call, which tests wrap
             adapter = self._attach_quiesced(component, instance)
         else:
@@ -563,12 +632,21 @@ class MixedModePlatform:
     def _attach_quiesced(self, component: str, instance: int, build=None):
         """Wait for the target component to go idle, then swap in the RTL
         that ``build(machine, component, instance)`` returns (default:
-        the co-simulation adapter; QRR passes its protected servers)."""
+        the co-simulation adapter; QRR passes its protected servers).
+
+        The wait, the definition of quiesce, steps the machine one cycle
+        at a time until :meth:`Machine.drained` holds or the cycle
+        :meth:`prepare` set (``quiesce_limit`` past the injection cycle;
+        past the current cycle on a direct call) is reached, and then
+        attaches anyway.  The DMA engine does not wait (it is attached
+        mid-transfer).
+        """
         machine = self.machine
-        if component != "pcie":  # the DMA engine is attached mid-transfer
-            for _ in range(self.cosim.quiesce_limit):
-                if machine.drained(component, instance):
-                    break
+        until, self._quiesce_by = self._quiesce_by, None
+        if until is None:
+            until = machine.cycle + self.cosim.quiesce_limit
+        if component != "pcie":
+            while machine.cycle < until and not machine.drained(component, instance):
                 machine.step()
         if build is None:
             # looked up per call, not bound as a default: profilers wrap

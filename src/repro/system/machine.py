@@ -165,6 +165,9 @@ class Machine:
         #: process-local digest of the loaded programs (snapshots hold
         #: no code, so this is what ties a machine to its golden run)
         self.program_digest: "int | None" = None
+        #: the crossbar drain log while one is kept (see
+        #: :meth:`log_ccx_drains`), else None
+        self.ccx_drain_log: "array | None" = None
 
         self.ccx = HighLevelCcx(latency=config.ccx_latency)
         self.cores: list[Core] = [
@@ -475,6 +478,27 @@ class Machine:
             raise ValueError(f"unknown uncore component {component!r}")
         self.uncore_changed()
         return previous
+
+    def log_ccx_drains(self) -> "array | None":
+        """Start the crossbar drain log and return it; None (no log) on
+        the reference engine or with a swapped-in crossbar.
+
+        From here on :meth:`_advance` checks at every cycle boundary it
+        reaches whether the crossbar is drained -- for the stock
+        crossbar :meth:`drained` is "no wake scheduled" -- and appends
+        each boundary at which that flips: even entries start a drained
+        stretch, odd ones end it (the log opens with the current cycle
+        when the crossbar is drained now).  So the crossbar is drained
+        at boundary ``c`` iff an odd number of entries are ``<= c``.
+        :meth:`step` does not log.  Set :attr:`ccx_drain_log` to None
+        to stop.
+        """
+        if self._reference or not self._ccx_stock:
+            return None
+        self.ccx_drain_log = array(
+            "I", [self.cycle] if self._wake_ccx == _NEVER else []
+        )
+        return self.ccx_drain_log
 
     def drained(self, component: str, instance: int) -> bool:
         """Whether ``component``'s slot ``instance`` holds no work: no
@@ -969,7 +993,9 @@ class Machine:
         with an issuable thread, ticks the uncore only when a component
         is due, and hops over idle stretches (no core issuable, uncore
         asleep) straight to the next uncore event, never past ``target``
-        -- the skipped cycles are provably no-ops.
+        -- the skipped cycles are provably no-ops.  While
+        :attr:`ccx_drain_log` is set it logs the crossbar's drained
+        flips (:meth:`log_ccx_drains`).
         """
         if self._reference:
             while self.cycle < target:
@@ -978,6 +1004,8 @@ class Machine:
                 self.step()
             return True
         cores = self.cores
+        log = self.ccx_drain_log
+        drained = log is not None and len(log) % 2 == 1
         while self.cycle < target:
             if stop and (self._live_threads == 0 or self._trapped_threads):
                 return False
@@ -1000,6 +1028,7 @@ class Machine:
                 self.cycle = cycle + 1
                 self.cycles_advanced += 1
             else:
+                # an idle hop: nothing changes, the crossbar included
                 nxt = self._uncore_wake
                 if nxt > target:
                     nxt = target
@@ -1007,6 +1036,10 @@ class Machine:
                     nxt = cycle + 1
                 self.cycles_advanced += nxt - cycle
                 self.cycle = nxt
+                continue
+            if log is not None and (self._wake_ccx == _NEVER) is not drained:
+                drained = not drained
+                log.append(cycle + 1)
         return True
 
     # ------------------------------------------------------------------
