@@ -10,11 +10,19 @@
 
 import random
 
+from repro.faults.models import SingleBitFlip
 from repro.injection.campaign import InjectionCampaign
 from repro.mixedmode.platform import CosimConfig, MixedModePlatform
 from repro.utils.render import render_table
 
 from conftest import BENCH_CONFIG, BENCH_N
+
+
+def _run_seu(platform, event, **kwargs):
+    """An inline SEU run whose warm-up is drawn from a stream seeded by
+    the flipped bit."""
+    warmup = platform.draw_warmup(random.Random(event.params["bit"] * 1_000_003))
+    return platform.run_injection(event, warmup, **kwargs)
 
 
 def test_ablation_early_stop(benchmark):
@@ -26,19 +34,17 @@ def test_ablation_early_stop(benchmark):
 
     def run_pair():
         rng = random.Random(4)
-        points = [platform.sample_injection_point("l2c", rng) for _ in range(n)]
+        events = [SingleBitFlip().sample(platform, "l2c", rng) for _ in range(n)]
         with_stop = 0
-        for cycle, inst, bit in points:
-            run = platform.run_injection("l2c", cycle, bit, instance=inst)
+        for event in events:
+            run = _run_seu(platform, event)
             with_stop += run.cosim.cosim_cycles
         without_stop = 0
-        for cycle, inst, bit in points:
+        for event in events:
             # forcing a tiny cap emulates "no early exit" cost accounting:
             # runs that would vanish in ~1 interval instead co-simulate
             # up to the cap
-            run = platform.run_injection(
-                "l2c", cycle, bit, instance=inst, cosim_cycle_cap=4_000
-            )
+            run = _run_seu(platform, event, cosim_cycle_cap=4_000)
             without_stop += (
                 run.cosim.cosim_cycles if not run.cosim.vanished else 4_000
             )
@@ -92,10 +98,8 @@ def test_ablation_cosim_cap(benchmark):
             rng = random.Random(9)
             persistent = 0
             for _ in range(n):
-                cycle, inst, bit = platform.sample_injection_point("l2c", rng)
-                run = platform.run_injection(
-                    "l2c", cycle, bit, instance=inst, cosim_cycle_cap=cap
-                )
+                event = SingleBitFlip().sample(platform, "l2c", rng)
+                run = _run_seu(platform, event, cosim_cycle_cap=cap)
                 persistent += run.persistent
             rows.append((cap, persistent, f"{persistent / n:.1%}"))
         return rows

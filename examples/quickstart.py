@@ -12,6 +12,7 @@ Demonstrates the layers of the library in ~50 lines:
 import random
 
 from repro.api import ExperimentSpec, Session
+from repro.faults.models import SingleBitFlip
 from repro.mixedmode.platform import MixedModePlatform
 from repro.system.machine import Machine, MachineConfig
 from repro.workloads import build_workload
@@ -35,11 +36,11 @@ def main() -> None:
 
     # --- 3. inject one soft error into the L2 cache controller --------
     rng = random.Random(42)
-    cycle, instance, bit = platform.sample_injection_point("l2c", rng)
-    run = platform.run_injection("l2c", cycle, bit, instance=instance, rng=rng)
+    event = SingleBitFlip().sample(platform, "l2c", rng)
+    run = platform.run_injection(event, platform.draw_warmup(rng))
     reg, entry, bitpos = run.flip_location
-    print(f"injected bit flip: L2C bank {instance}, register {reg!r} "
-          f"entry {entry} bit {bitpos}, at cycle {cycle}")
+    print(f"injected bit flip: L2C bank {event.instance}, register {reg!r} "
+          f"entry {entry} bit {bitpos}, at cycle {event.cycle}")
     print(f"outcome: {run.outcome.value if run.outcome else 'persistent'} "
           f"(co-simulated {run.cosim.cosim_cycles} cycles, "
           f"ended by {run.cosim.ended_by!r})")

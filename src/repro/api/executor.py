@@ -26,8 +26,10 @@ plain dicts as cells progress:
   "worker", "t"}`` -- a cell began executing (``worker`` = pid,
   ``t`` = wall-clock epoch seconds).
 * ``{"type": "cell_done", ..., "seconds", "cpu_seconds", "rss_kb",
-  "records"}`` -- the cell finished; measurements were taken in the
-  process that ran it.
+  "records"}`` -- the cell landed: its result is already in the
+  caller's hands (``on_result`` returned, so a :class:`CachingExecutor`
+  result is durable on disk) when the event is emitted; measurements
+  were taken in the process that ran it.
 * ``{"type": "cache_hit" | "cache_miss" | "cache_stale", "index",
   "digest", "label"}`` -- from :class:`CachingExecutor` (``stale`` =
   an on-disk entry existed but was corrupt or mismatched).
@@ -56,11 +58,14 @@ fold into one cell ledger, :class:`repro.obs.ProgressState`, and
 
 Serial executors call back inline; :class:`ParallelExecutor` routes
 worker events through a manager queue drained by a coordinator thread,
-so ``on_event`` always runs in the calling process.  Events are pure
-telemetry: emitting them never changes results (the serial/parallel
-byte-identity contract holds with or without a callback), and callback
-exceptions are swallowed so observers cannot break a sweep -- the first
-failure per run is logged once so a broken consumer stays diagnosable.
+so ``on_event`` always runs in the calling process.  A pool worker
+returns its ``cell_done`` with the result, and the parent queues it
+behind the cell's ``cell_start`` once the result has landed.  Events
+are pure telemetry: emitting them never changes results (the
+serial/parallel byte-identity contract holds with or without a
+callback), and callback exceptions are swallowed so observers cannot
+break a sweep -- the first failure per run is logged once so a broken
+consumer stays diagnosable.
 
 Resilience
 ----------
@@ -245,14 +250,15 @@ class SerialExecutor:
             except Exception as exc:
                 sup.fail(i, exc)
                 continue
-            sup.emit(_done_event(
+            done = _done_event(
                 start, time.perf_counter() - t0, time.process_time() - cpu0,
                 len(result.records),
-            ))
+            )
             sup.land(i)
             results[i] = result
             if on_result is not None:
                 on_result(i, result)
+            sup.emit(done)
         sup.raise_failures()
         return [results[i] for i in range(total)]
 
@@ -288,20 +294,22 @@ def _put_event(event: dict) -> None:
         pass
 
 
-def _run_task(task: tuple) -> dict:
-    """Worker entry point: (index, total, spec dict) in, result dict out
-    (always picklable), cell events to the shared queue on the side."""
+def _run_task(task: tuple) -> tuple[dict, dict]:
+    """Worker entry point: (index, total, spec dict) in, (result dict,
+    ``cell_done`` event) out (always picklable).  ``cell_start`` goes to
+    the shared queue at once; the parent emits ``cell_done`` once it has
+    landed the result."""
     index, total, spec_dict = task
     spec = ExperimentSpec.from_dict(spec_dict)
     start = _cell_events(spec, index, total)
     _put_event(start)
     t0, cpu0 = time.perf_counter(), time.process_time()
     result = _worker_session().run(spec)
-    _put_event(_done_event(
+    done = _done_event(
         start, time.perf_counter() - t0, time.process_time() - cpu0,
         len(result.records),
-    ))
-    return result.to_dict()
+    )
+    return result.to_dict(), done
 
 
 class ParallelExecutor:
@@ -431,10 +439,14 @@ class ParallelExecutor:
                         continue
                     index, exc = futures[fut], fut.exception()
                     if exc is None:
-                        results[index] = ExperimentResult.from_dict(fut.result())
+                        result, done = fut.result()
+                        results[index] = ExperimentResult.from_dict(result)
                         sup.land(index)
                         if on_result is not None:
                             on_result(index, results[index])
+                        # through the queue, so it folds after the
+                        # cell's cell_start
+                        event_queue.put(done)
                     elif isinstance(exc, BrokenProcessPool):
                         broken = True
                     else:

@@ -504,9 +504,9 @@ def fault_overhead_guard(
 
     Runs the same campaign cell two ways on one shared platform -- a
     frozen replica of the pre-subsystem inline path (the sampling
-    arithmetic below is copied verbatim from the seed's
-    ``sample_injection_point`` so the baseline cannot silently absorb
-    subsystem costs, plus ``run_injection(component, cycle, bit)``) and
+    arithmetic below is copied verbatim from the seed's inline sampler
+    so the baseline cannot silently absorb subsystem costs, plus the
+    model-free ``run_injection(event, warmup)`` single-bit flip) and
     :class:`~repro.injection.campaign.InjectionCampaign`'s default
     :class:`~repro.faults.models.SingleBitFlip` model -- and reports the
     relative overhead.  Both paths execute bit-identical simulation
@@ -514,6 +514,7 @@ def fault_overhead_guard(
     runs interleave (best-of) to cancel host drift.  CI gates this at
     5% (``repro bench --fault-guard``) on the default engine.
     """
+    from repro.faults.event import FaultEvent
     from repro.injection.campaign import InjectionCampaign
     from repro.soc.geometry import T2_GEOMETRY
 
@@ -532,7 +533,8 @@ def fault_overhead_guard(
             cycle = rng.randrange(1, max(2, plat.golden.cycles - 1))
             instance = rng.randrange(plat.machine_config.l2_banks)
             bit = rng.randrange(nbits)
-            plat.run_injection(component, cycle, bit, instance=instance, rng=rng)
+            event = FaultEvent("seu", component, instance, cycle, params={"bit": bit})
+            plat.run_injection(event, plat.draw_warmup(rng))
 
     def modeled():
         InjectionCampaign(plat, component, seed=BENCH_SEED).run(

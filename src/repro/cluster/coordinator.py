@@ -43,7 +43,9 @@ durable on the bus for ``repro sweep --resume``.
 Telemetry: forwarded worker events feed the coordinator's ``on_event``
 callback with the standard shapes (grid-indexed ``cell_start``/
 ``cell_done``/``cache_*`` with the executing worker's pid, which the
-trace layer maps to per-worker tracks), plus cluster-specific
+trace layer maps to per-worker tracks; a ``cell_done`` is emitted only
+once the cell's ``cell_result`` ack arrived, so the ledger never calls
+a cell landed ahead of the bus), plus cluster-specific
 ``worker_heartbeat`` and ``worker_dead`` events for progress accounting
 and per-worker RSS gauges.
 """
@@ -120,6 +122,8 @@ class _Run:
         self.total = len(specs)
         self.spec_dicts = [spec.to_dict() for spec in specs]
         self.running: "dict[int, _Agent]" = {}
+        #: forwarded ``cell_done`` events whose landing ack is still due
+        self.held_done: "dict[int, dict]" = {}
         self.lock = threading.Lock()
 
     def dispatch(self, agent: _Agent, indices) -> None:
@@ -368,16 +372,26 @@ class ClusterExecutor:
                     with run.lock:
                         if etype == "cell_start":
                             run.running[index] = agent
-                        elif etype in ("cell_done", "cache_hit"):
+                        elif etype == "cache_hit":
                             run.running.pop(index, None)
+                        elif etype == "cell_done" and index not in sup.landed:
+                            # agents ack a landing before its cell_done:
+                            # without the ack the cell stays running, so
+                            # its deadline can still recover a lost ack
+                            run.held_done[index] = event
+                            return
                 sup.emit(event)
         elif mtype == "cell_result":
             index = message.get("index")
+            held = None
             with run.lock:
                 if isinstance(index, int):
                     sup.land(index)
                     run.running.pop(index, None)
+                    held = run.held_done.pop(index, None)
                 agent.assigned.discard(index)
+            if held is not None:
+                sup.emit(held)
         elif mtype == "heartbeat":
             sup.emit(
                 {
@@ -516,7 +530,9 @@ class ClusterExecutor:
         degrades to serial instead of failing or going partial.  The
         event filter keeps telemetry coherent: landed cells already
         streamed their events from workers, so only locally-computed
-        fallback cells may emit again.
+        fallback cells may emit again, and landed cells whose worker
+        ``cell_done`` was lost in transit, which the ledger still shows
+        running.
         """
         from repro import obs
 
@@ -524,9 +540,12 @@ class ClusterExecutor:
         self.last_fallback = len(fallback)
         if fallback:
             obs.counter("cluster.cells_fallback").inc(len(fallback))
+        unseen = fallback | {
+            i for i in range(len(specs)) if i not in sup.ledger.done
+        }
 
         def merge_emit(event: dict) -> None:
-            if event.get("index") in fallback:
+            if event.get("index") in unseen:
                 sup.emit(event)
 
         merged = CachingExecutor(bus, SerialExecutor(retry=self.retry))

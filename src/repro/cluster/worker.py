@@ -15,8 +15,9 @@ worker_procs`` total fan-out under one coordinator).
 * Misses run and are published with the atomic unique-temp rename of
   :func:`repro.api.executor.store_cached_result`; ``cell_result`` is
   sent strictly *after* the rename (the caching layer's ``on_result``
-  fires after it; a bus hit is durable by definition), so the
-  coordinator only ever counts durable results as landed.
+  fires after it; a bus hit is durable by definition) and before the
+  cell's ``cell_done``, so the coordinator only ever counts durable
+  results as landed.
 * Executor telemetry (``cell_start``/``cell_done``/``cache_*``, the
   shapes every backend emits) is forwarded as ``event`` messages with
   the cell's grid index, and a daemon thread heartbeats liveness + RSS.

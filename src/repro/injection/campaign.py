@@ -2,16 +2,23 @@
 
 A campaign runs N independent injections through the mixed-mode platform
 and returns one live :class:`~repro.mixedmode.platform.InjectionRun` per
-injection.  Aggregation into the five outcome categories happens once,
-on the canonical :class:`~repro.api.result.ExperimentResult` the session
-builds from these runs.
+injection.  Every random choice of a run -- the fault event (injection
+point and flipped location) and the randomized warm-up -- is drawn by
+:meth:`InjectionCampaign.draws` from the platform's fixed state alone,
+so a cell's runs are a pure function of its spec and no run driver sees
+a random stream.  Aggregation into the five outcome categories happens
+once, on the canonical :class:`~repro.api.result.ExperimentResult` the
+session builds from these runs.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
+from itertools import islice
+from typing import Iterator
 
+from repro.faults.event import FaultEvent
 from repro.faults.models import FaultModel, SingleBitFlip
 from repro.mixedmode.platform import InjectionRun, MixedModePlatform
 
@@ -36,24 +43,27 @@ class InjectionCampaign:
         self.seed = seed
         self.fault = fault if fault is not None else SingleBitFlip()
 
-    def run(self, n_injections: int) -> list[InjectionRun]:
+    def draws(self) -> Iterator[tuple[FaultEvent, int]]:
+        """The cell's ``(event, warmup)`` draws, run by run, without end.
+
+        They read only the platform's fixed state (golden length, PCIe
+        window, RTL prototypes), so they need no simulation.  Drawn
+        lazily: a run's draws are taken just before it starts, not all
+        up front.
+        """
         # stable digest, NOT hash(): str hashes vary across interpreter
         # runs under PYTHONHASHSEED randomization, which would make
         # campaigns unreproducible across processes
         rng = random.Random(
             (self.seed << 16) ^ (zlib.crc32(self.component.encode()) & 0xFFFF)
         )
-        runs = []
-        for _ in range(n_injections):
-            event = self.fault.sample_event(self.platform, self.component, rng)
-            runs.append(
-                self.platform.run_injection(
-                    self.component,
-                    event.cycle,
-                    instance=event.instance,
-                    rng=rng,
-                    fault=self.fault,
-                    event=event,
-                )
-            )
-        return runs
+        platform = self.platform
+        while True:
+            event = self.fault.sample_event(platform, self.component, rng)
+            yield event, platform.draw_warmup(rng)
+
+    def run(self, n_injections: int) -> list[InjectionRun]:
+        return [
+            self.platform.run_injection(event, warmup, fault=self.fault)
+            for event, warmup in islice(self.draws(), n_injections)
+        ]

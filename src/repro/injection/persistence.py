@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from repro.faults.event import FaultEvent
+from repro.faults.models import SingleBitFlip
 from repro.mixedmode.platform import MixedModePlatform
 from repro.utils.cdf import Cdf
 
@@ -50,16 +52,15 @@ class PersistenceProbe:
         self.platform = platform
         self.component = component
 
-    def probe_one(
-        self, injection_cycle: int, target_bit: int, instance: int, cap: int
-    ) -> int:
-        """Cycles until no residual mismatch remains (or ``cap``)."""
+    def probe_one(self, event: FaultEvent, cap: int) -> int:
+        """Cycles until no residual mismatch remains (or ``cap``) after
+        the single-bit flip ``event``."""
         plat = self.platform
         machine = plat.machine
         adapter = plat.prepare(
-            self.component, instance, injection_cycle, plat.cosim.warmup_min
+            self.component, event.instance, event.cycle, plat.cosim.warmup_min
         )
-        adapter.flip(target_bit)
+        adapter.flip(event.params["bit"])
         elapsed = 0
         check = plat.cosim.check_interval
         persisted = cap
@@ -80,10 +81,9 @@ class PersistenceProbe:
         self, n_flip_flops: int, cap: int = 20_000, seed: int = 0
     ) -> PersistenceResult:
         rng = random.Random(seed ^ 0x5151)
+        model = SingleBitFlip()
         result = PersistenceResult(self.component, cap=cap)
         for _ in range(n_flip_flops):
-            cycle, instance, bit = self.platform.sample_injection_point(
-                self.component, rng
-            )
-            result.samples.append(self.probe_one(cycle, bit, instance, cap))
+            event = model.sample(self.platform, self.component, rng)
+            result.samples.append(self.probe_one(event, cap))
         return result

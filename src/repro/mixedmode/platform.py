@@ -26,7 +26,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.faults.event import FaultEvent
-from repro.faults.models import SingleBitFlip
 from repro.mixedmode.adapters import L2cCosimAdapter, make_adapter
 from repro.system.machine import DEFAULT_ENGINE, Machine, MachineConfig
 from repro.system.outcome import Outcome, RunResult, classify_outcome
@@ -104,13 +103,11 @@ class GoldenRun:
     def __post_init__(self) -> None:
         self._checkpoints = sorted(self.snapshots)
 
-    def checkpoint_at_or_before(self, cycle: int) -> int:
-        """The last checkpoint cycle ``<= cycle`` (0 when there is none)."""
-        i = bisect_right(self._checkpoints, cycle)
-        return self._checkpoints[i - 1] if i else 0
-
     def snapshot_at_or_before(self, cycle: int) -> tuple[int, dict]:
-        best = self.checkpoint_at_or_before(cycle)
+        """The last checkpoint ``<= cycle`` (cycle 0 when there is none)
+        and its snapshot."""
+        i = bisect_right(self._checkpoints, cycle)
+        best = self._checkpoints[i - 1] if i else 0
         return best, self.snapshots[best]
 
     def ccx_quiesced(self, cycle: int, limit: int) -> "int | None":
@@ -232,7 +229,7 @@ class InjectionRun:
     #: required rollback distance (Fig. 9), if memory was corrupted
     rollback_distance: "int | None" = None
     ran_phase3: bool = False
-    #: the sampled fault behind this run (None for legacy direct calls)
+    #: the drawn fault behind this run
     fault_event: "FaultEvent | None" = None
 
     @property
@@ -387,62 +384,37 @@ class MixedModePlatform:
         )
 
     # ------------------------------------------------------------------
-    # Injection-point sampling
-    # ------------------------------------------------------------------
-    def sample_injection_point(
-        self, component: str, rng: random.Random
-    ) -> tuple[int, int, int]:
-        """Random (injection_cycle, instance, target_bit) for a component,
-        drawn by the default fault model (windows:
-        :mod:`repro.faults.windows`)."""
-        event = SingleBitFlip().sample(self, component, rng)
-        return event.cycle, event.instance, event.params["bit"]
-
-    # ------------------------------------------------------------------
     # One injection run (Fig. 2)
     # ------------------------------------------------------------------
     def run_injection(
         self,
-        component: str,
-        injection_cycle: int,
-        target_bit: "int | None" = None,
-        instance: int = 0,
-        warmup: "int | None" = None,
-        rng: "random.Random | None" = None,
-        cosim_cycle_cap: "int | None" = None,
+        event: FaultEvent,
+        warmup: int,
         fault=None,
-        event: "FaultEvent | None" = None,
+        cosim_cycle_cap: "int | None" = None,
     ) -> InjectionRun:
-        """One injection run (Fig. 2).
+        """One injection run (Fig. 2) of a drawn ``event`` after
+        ``warmup`` cycles of warm-up.
 
-        The legacy form passes an explicit ``target_bit`` (the default
-        single-bit flip).  The fault-model form passes a ``fault`` model
-        plus the ``event`` it sampled; the model then owns the
+        ``fault`` is the model that drew the event: it then owns the
         corruption (and, for stuck-at/intermittent faults, its per-cycle
-        re-assertion during co-simulation).
+        re-assertion during co-simulation).  Without one the run flips
+        the single-bit event's ``params["bit"]`` directly, the inline
+        SEU path the fault-overhead guard times its models against.
         """
-        if fault is None and target_bit is None:
-            raise ValueError("run_injection needs a target_bit or a fault+event")
-        if fault is not None and event is None:
-            raise ValueError("run_injection with a fault model needs its event")
-        if rng is None:
-            rng = random.Random(
-                (target_bit if target_bit is not None else 0) * 1_000_003
-            )
         cap = cosim_cycle_cap if cosim_cycle_cap is not None else (
             self.cosim.cosim_cycle_cap
         )
-        if warmup is None:
-            warmup = self.draw_warmup(rng)
         machine = self.machine
-        adapter = self.prepare(component, instance, injection_cycle, warmup)
+        component = event.component
+        adapter = self.prepare(component, event.instance, event.cycle, warmup)
 
         # ---- phase 2: inject and co-simulate ------------------------------
         if fault is not None:
             flip_loc = fault.apply_event(adapter, event)
             live = fault.live(event, machine.cycle)
         else:
-            flip_loc = adapter.flip(target_bit)
+            flip_loc = adapter.flip(event.params["bit"])
             live = None
         inject_abs = machine.cycle
         cosim = CosimResult()
@@ -537,9 +509,9 @@ class MixedModePlatform:
 
         return InjectionRun(
             component=component,
-            instance=instance,
+            instance=event.instance,
             benchmark=self.benchmark,
-            injection_cycle=injection_cycle,
+            injection_cycle=event.cycle,
             flip_location=flip_loc,
             warmup=warmup,
             outcome=outcome,
@@ -607,18 +579,13 @@ class MixedModePlatform:
         """
         machine = self.machine
         golden = self.golden
-        snap_cycle, snap = golden.snapshot_at_or_before(injection_cycle)
-        start = injection_cycle
         limit = self.cosim.quiesce_limit
+        start = injection_cycle
         if component == "ccx":
             attach = golden.ccx_quiesced(injection_cycle, limit)
             if attach is not None:
                 start = attach
-                ckpt = golden.checkpoint_at_or_before(attach)
-                if ckpt > snap_cycle:
-                    # not chain[ckpt]: run tracers read a mapping lookup
-                    # as the start of a new run
-                    snap = golden.snapshots.state_at(ckpt)
+        _cycle, snap = golden.snapshot_at_or_before(start)
         machine.restore(snap)
         machine.run_until_cycle(start)
         self._quiesce_by = injection_cycle + limit

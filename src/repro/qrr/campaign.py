@@ -5,15 +5,24 @@ or MCU instance and verifies that the application still completes with
 the correct output -- the paper reports successful recovery for *all*
 such injections (>400,000 runs at full scale).  Hardened flip-flops are
 handled analytically via :func:`repro.qrr.coverage.improvement_factor`.
+
+Every random choice of a run -- instance, injection cycle, warm-up and
+the flipped parity-covered bit -- is drawn by :meth:`QrrCampaign.draws`
+from the platform's fixed state alone (the covered bits come from the
+component's sampling prototype), so the run itself sees no random
+stream.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import islice
+from typing import Iterator
 
+from repro.faults.inventory import prototype_module
 from repro.mixedmode.platform import MixedModePlatform
+from repro.qrr.coverage import covered_bits
 from repro.qrr.servers import QrrL2cServer, QrrMcuServer
-from repro.rtl.registers import FlipFlopClass
 
 
 class QrrCampaign:
@@ -24,42 +33,31 @@ class QrrCampaign:
             raise ValueError("QRR protects the memory-subsystem components")
         self.platform = platform
         self.component = component
-        self._covered: "list[int] | None" = None
 
-    def _covered_bits(self, server) -> list[int]:
-        """Indices of parity-covered target bits (detection candidates),
-        in ``target_bits()`` order.
-
-        Built once per campaign by walking the target registers' sizes
-        (every run attaches the same RTL class), so a run never
-        materializes the target index.
-        """
-        if self._covered is None:
-            covered: list[int] = []
-            offset = 0
-            for reg in server.rtl.registers().values():
-                if reg.ff_class is not FlipFlopClass.TARGET:
-                    continue
-                size = reg.flip_flops
-                if not reg.timing_critical and not reg.config:
-                    covered.extend(range(offset, offset + size))
-                offset += size
-            self._covered = covered
-        return self._covered
+    def draws(self, seed: int = 0) -> Iterator[tuple[int, int, int, int]]:
+        """The ``(instance, cycle, warmup, bit)`` draws, run by run,
+        without end; drawn lazily, like :meth:`InjectionCampaign.draws
+        <repro.injection.campaign.InjectionCampaign.draws>`."""
+        plat = self.platform
+        rng = random.Random(seed)
+        instances = plat.machine_config.instances(self.component)
+        covered = covered_bits(prototype_module(plat, self.component))
+        while True:
+            instance = rng.randrange(instances)
+            cycle = rng.randrange(1, max(2, plat.golden.cycles - 1))
+            warmup = plat.draw_warmup(rng)
+            yield instance, cycle, warmup, covered[rng.randrange(len(covered))]
 
     def run(self, n_injections: int, seed: int = 0) -> "list[RunRecord]":
         """One canonical run record per injection."""
         # imported here: repro.api's session imports this module
         from repro.api.result import RunRecord
 
-        plat = self.platform
-        rng = random.Random(seed)
         records = []
-        for index in range(n_injections):
-            instance = rng.randrange(plat.machine_config.instances(self.component))
-            cycle = rng.randrange(1, max(2, plat.golden.cycles - 1))
+        draws = islice(self.draws(seed), n_injections)
+        for index, (instance, cycle, warmup, bit) in enumerate(draws):
             recovered, recovery_cycles, detected = self._one_run(
-                instance, cycle, rng
+                instance, cycle, warmup, bit
             )
             records.append(
                 RunRecord(
@@ -73,18 +71,15 @@ class QrrCampaign:
             )
         return records
 
-    def _one_run(self, instance: int, cycle: int, rng):
+    def _one_run(self, instance: int, cycle: int, warmup: int, bit: int):
         plat = self.platform
         machine = plat.machine
-        # warm up so the record table holds live in-flight requests
-        warmup = plat.draw_warmup(rng)
-        # the QRR-protected RTL server stands in for the component
+        # the QRR-protected RTL server stands in for the component; the
+        # warm-up fills its record table with live in-flight requests
         server = plat.prepare(
             self.component, instance, cycle, warmup, build=_build_server
         )
         # flip a parity-covered bit; detection fires the same cycle
-        covered = self._covered_bits(server)
-        bit = covered[rng.randrange(len(covered))]
         _reg, _entry, _b, detected = server.inject(bit, machine.cycle)
         # run through recovery until the component is quiescent again
         for _ in range(50_000):

@@ -75,9 +75,34 @@ def classify_coverage(module: RtlModule, component: str) -> QrrCoverage:
     )
 
 
+def covered_bits(module: RtlModule) -> list[int]:
+    """Indices of a module's parity-covered target flip-flops (the QRR
+    detection candidates), in ``target_bits()`` order.
+
+    Walks the target registers' sizes, so the target index is never
+    materialized.  Flip-flop inventories do not depend on the instance,
+    so a sampling prototype
+    (:func:`repro.faults.inventory.prototype_module`) answers for every
+    instance before any is attached.
+    """
+    covered: list[int] = []
+    offset = 0
+    for reg in module.registers().values():
+        if reg.ff_class is not FlipFlopClass.TARGET:
+            continue
+        size = reg.flip_flops
+        if _parity_covered(reg):
+            covered.extend(range(offset, offset + size))
+        offset += size
+    return covered
+
+
 def is_parity_covered(module: RtlModule, reg_name: str) -> bool:
     """Whether a flipped register is covered by logic parity."""
-    reg = module.registers()[reg_name]
+    return _parity_covered(module.registers()[reg_name])
+
+
+def _parity_covered(reg) -> bool:
     return (
         reg.ff_class is FlipFlopClass.TARGET
         and not reg.timing_critical

@@ -1,7 +1,6 @@
-"""Shared utilities: statistics, CDF helpers, RNG streams, rendering."""
+"""Shared utilities: statistics, CDF helpers, rendering."""
 
 from repro.utils.cdf import Cdf
-from repro.utils.rng import RngFactory
 from repro.utils.stats import (
     BinomialEstimate,
     normal_ci_halfwidth,
@@ -12,7 +11,6 @@ from repro.utils.stats import (
 __all__ = [
     "BinomialEstimate",
     "Cdf",
-    "RngFactory",
     "normal_ci_halfwidth",
     "required_samples",
     "wilson_interval",

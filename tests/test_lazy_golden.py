@@ -20,7 +20,8 @@ import random
 
 import pytest
 
-from repro.faults.models import parse_fault
+from repro.faults.event import FaultEvent
+from repro.faults.models import SingleBitFlip, parse_fault
 from repro.mixedmode.platform import MixedModePlatform
 from repro.system.machine import ENGINES, MachineConfig
 
@@ -97,7 +98,7 @@ def _twin_sides(platform, component, instance, cycle) -> tuple[dict, dict]:
     return sides[0], sides[1]
 
 
-def _twin_runs(platform, monkeypatch, component, cycle, instance, **kwargs):
+def _twin_runs(platform, monkeypatch, event, fault=None):
     """``run_injection`` with the golden copy forked at attach, then lazily."""
     lazy_attach = platform._attach_quiesced
 
@@ -109,17 +110,19 @@ def _twin_runs(platform, monkeypatch, component, cycle, instance, **kwargs):
     runs = []
     for attach in (eager_attach, lazy_attach):
         monkeypatch.setattr(platform, "_attach_quiesced", attach)
-        run = platform.run_injection(
-            component, cycle, instance=instance, warmup=WARMUP,
-            **copy.deepcopy(kwargs),
-        )
+        run = platform.run_injection(copy.deepcopy(event), WARMUP, fault=fault)
         runs.append(run.to_dict())
     return runs[0], runs[1]
 
 
 def _points(platform, component, n, seed=2015):
     rng = random.Random(seed)
-    return [platform.sample_injection_point(component, rng) for _ in range(n)]
+    events = [SingleBitFlip().sample(platform, component, rng) for _ in range(n)]
+    return [(e.cycle, e.instance, e.params["bit"]) for e in events]
+
+
+def _seu(component, cycle, instance, bit) -> FaultEvent:
+    return FaultEvent("seu", component, instance, cycle, params={"bit": bit})
 
 
 def _dma_instance(platform, component) -> int:
@@ -151,7 +154,7 @@ def test_same_flip_same_run(platforms, monkeypatch, component):
     platform = platforms["plain"]
     for cycle, instance, bit in _points(platform, component, 3, seed=7):
         eager, lazy = _twin_runs(
-            platform, monkeypatch, component, cycle, instance, target_bit=bit
+            platform, monkeypatch, _seu(component, cycle, instance, bit)
         )
         assert lazy == eager
 
@@ -167,10 +170,7 @@ def test_fault_models_same_run(platforms, monkeypatch, component, fault):
     rng = random.Random(11)
     for _ in range(2):
         event = model.sample(platform, component, rng)
-        eager, lazy = _twin_runs(
-            platform, monkeypatch, component, event.cycle, event.instance,
-            fault=model, event=event,
-        )
+        eager, lazy = _twin_runs(platform, monkeypatch, event, model)
         assert lazy == eager
 
 
@@ -189,7 +189,7 @@ def test_dma_during_warm_up(platforms, monkeypatch, component):
         eager, lazy = _twin_sides(platform, component, instance, cycle)
         assert lazy == eager, (component, cycle, instance)
         eager, lazy = _twin_runs(
-            platform, monkeypatch, component, cycle, instance, target_bit=bit
+            platform, monkeypatch, _seu(component, cycle, instance, bit)
         )
         assert lazy == eager
 

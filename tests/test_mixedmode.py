@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from repro.faults.event import FaultEvent
+from repro.faults.models import SingleBitFlip
 from repro.mixedmode.adapters import (
     CcxCosimAdapter,
     L2cCosimAdapter,
@@ -18,6 +20,20 @@ from repro.system.outcome import Outcome
 from repro.workloads import build_workload
 
 CFG = MachineConfig(cores=4, threads_per_core=2, l2_banks=8, l2_sets=16)
+
+
+def _flip_bit(platform, cycle, bit, **kwargs):
+    """An inline SEU run flipping target ``bit`` of L2C bank 0, with a
+    warm-up drawn from a stream seeded by the bit."""
+    event = FaultEvent("seu", "l2c", 0, cycle, params={"bit": bit})
+    warmup = platform.draw_warmup(random.Random(bit * 1_000_003))
+    return platform.run_injection(event, warmup, **kwargs)
+
+
+def _sampled_run(platform, component, rng):
+    """An inline SEU run at a point drawn like the default campaign's."""
+    event = SingleBitFlip().sample(platform, component, rng)
+    return platform.run_injection(event, platform.draw_warmup(rng))
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +115,7 @@ class TestInjectionRuns:
     def test_deterministic_given_same_inputs(self, platform):
         runs = []
         for _ in range(2):
-            rng = random.Random(99)
-            cycle, inst, bit = platform.sample_injection_point("l2c", rng)
-            run = platform.run_injection("l2c", cycle, bit, instance=inst, rng=rng)
+            run = _sampled_run(platform, "l2c", random.Random(99))
             runs.append((run.outcome, run.cosim.cosim_cycles, run.flip_location))
         assert runs[0] == runs[1]
 
@@ -115,7 +129,7 @@ class TestInjectionRuns:
         idx = next(
             i for i, (name, _e, _b) in enumerate(target_bits) if name == "perf_hits"
         )
-        run = platform.run_injection("l2c", platform.golden.cycles // 2, idx)
+        run = _flip_bit(platform, platform.golden.cycles // 2, idx)
         assert run.outcome is Outcome.VANISHED
         assert not run.ran_phase3
 
@@ -128,8 +142,8 @@ class TestInjectionRuns:
             i for i, (name, _e, _b) in enumerate(probe.target_bits())
             if name == "cfg_mode"
         )
-        run = platform.run_injection(
-            "l2c", platform.golden.cycles // 2, idx, cosim_cycle_cap=2_000
+        run = _flip_bit(
+            platform, platform.golden.cycles // 2, idx, cosim_cycle_cap=2_000
         )
         assert run.persistent
         assert run.outcome is None
@@ -138,26 +152,21 @@ class TestInjectionRuns:
     def test_each_component_injectable(self, platform, component):
         rng = random.Random(5)
         for _ in range(3):
-            cycle, inst, bit = platform.sample_injection_point(component, rng)
-            run = platform.run_injection(component, cycle, bit, instance=inst, rng=rng)
+            run = _sampled_run(platform, component, rng)
             assert run.persistent or run.outcome is not None
 
     def test_pcie_injection(self, pcie_platform):
-        rng = random.Random(5)
-        cycle, inst, bit = pcie_platform.sample_injection_point("pcie", rng)
-        run = pcie_platform.run_injection("pcie", cycle, bit, instance=inst, rng=rng)
+        run = _sampled_run(pcie_platform, "pcie", random.Random(5))
         assert run.persistent or run.outcome is not None
 
     def test_pcie_sampling_needs_window(self, platform):
         with pytest.raises(ValueError):
-            platform.sample_injection_point("pcie", random.Random(0))
+            SingleBitFlip().sample(platform, "pcie", random.Random(0))
 
     def test_machine_structure_restored_after_run(self, platform):
         from repro.uncore.highlevel.l2c import HighLevelL2Bank
 
-        rng = random.Random(3)
-        cycle, inst, bit = platform.sample_injection_point("l2c", rng)
-        platform.run_injection("l2c", cycle, bit, instance=inst, rng=rng)
+        _sampled_run(platform, "l2c", random.Random(3))
         assert all(isinstance(b, HighLevelL2Bank) for b in platform.machine.l2banks)
 
 

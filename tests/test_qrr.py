@@ -10,6 +10,7 @@ from repro.mixedmode.platform import MixedModePlatform
 from repro.qrr.campaign import QrrCampaign
 from repro.qrr.coverage import (
     classify_coverage,
+    covered_bits,
     improvement_factor,
     is_parity_covered,
     residual_error_fraction,
@@ -148,9 +149,8 @@ class TestQrrRecovery:
             QrrCampaign(platform, "ccx")
 
     def test_covered_bits_exclude_hardened(self, platform):
-        campaign = QrrCampaign(platform, "l2c")
         server = QrrL2cServer(platform.machine, 0)
-        covered = campaign._covered_bits(server)
+        covered = covered_bits(server.rtl)
         bits = server.rtl.target_bits()
         names = {bits[i][0] for i in covered}
         assert "cfg_mode" not in names

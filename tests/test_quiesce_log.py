@@ -22,6 +22,7 @@ from bisect import bisect_right
 import pytest
 
 from repro.api import ExperimentSpec, Session, dumps_canonical
+from repro.faults.event import FaultEvent
 from repro.faults.models import parse_fault
 from repro.injection.campaign import InjectionCampaign
 from repro.mixedmode.platform import CosimConfig, MixedModePlatform
@@ -163,7 +164,9 @@ def test_points_past_last_drain_same_bytes(capped, monkeypatch):
 
     def go():
         return [
-            capped.run_injection("ccx", point, target_bit=bit, warmup=600)
+            capped.run_injection(
+                FaultEvent("seu", "ccx", 0, point, params={"bit": bit}), 600
+            )
             for bit, point in enumerate(points)
         ]
 

@@ -1,37 +1,6 @@
-"""Tests for RNG streams and rendering (repro.utils.rng / .render)."""
+"""Tests for rendering (repro.utils.render)."""
 
 from repro.utils.render import render_percent, render_series, render_table
-from repro.utils.rng import RngFactory
-
-
-class TestRngFactory:
-    def test_same_key_same_stream(self):
-        f = RngFactory(42)
-        a = f.stream("x", 1).random()
-        b = f.stream("x", 1).random()
-        assert a == b
-
-    def test_different_keys_differ(self):
-        f = RngFactory(42)
-        assert f.stream("x").random() != f.stream("y").random()
-
-    def test_order_independence(self):
-        f1 = RngFactory(7)
-        a1 = f1.stream("a").random()
-        b1 = f1.stream("b").random()
-        f2 = RngFactory(7)
-        b2 = f2.stream("b").random()
-        a2 = f2.stream("a").random()
-        assert (a1, b1) == (a2, b2)
-
-    def test_child_factories_deterministic(self):
-        f = RngFactory(9)
-        c1 = f.child("bench").stream("run", 3).random()
-        c2 = RngFactory(9).child("bench").stream("run", 3).random()
-        assert c1 == c2
-
-    def test_different_root_seeds_differ(self):
-        assert RngFactory(1).stream("k").random() != RngFactory(2).stream("k").random()
 
 
 class TestRenderTable:
